@@ -38,14 +38,14 @@ class Fig8Planning extends AnyFunSuite {
     val rows = table2.map { q =>
       val r = timeOptimize(planningProblem(LiteQueries.byName(q), 3), Methods())
       Seq(q, f"${r.pseMillis}%.1f ms", f"${r.smoMillis}%.1f ms",
-        r.memoGroups.toString, r.memoNodes.toString)
+        r.memoGroups.toString, r.memoNodes.toString, r.dpSolves.toString, r.dpRounds.toString)
     }
     Scenarios.printTable("Fig 8(b) — PSE and SMO time by query (|T|=3)",
-      Seq("query", "PSE", "SMO", "groups", "nodes"), rows)
+      Seq("query", "PSE", "SMO", "groups", "nodes", "DP solves", "DP rounds"), rows)
   }
 
   test("Fig 8(c)(d): scaling with the number of incremental runs |T|") {
-    val qs = Seq("q22", "q67", "q91", "q33")
+    val qs = Seq("q22", "q67", "q91", "q33", "q5")
     val sizes = Seq(3, 5, 7, 9)
     val results = qs.map { q =>
       q -> sizes.map { k =>
@@ -60,6 +60,9 @@ class Fig8Planning extends AnyFunSuite {
       "query" +: sizes.map(s => s"|T|=$s"),
       results.map { case (q, rs) => q +: rs.map(r => f"${r._2}%.1f ms") })
     for ((q, rs) <- results) {
+      // paper: every query plans in under 14 s
+      for ((r, k) <- rs.zip(sizes))
+        assert(r._1 + r._2 < 14000, f"$q at |T|=$k: planning took ${r._1 + r._2}%.0f ms")
       // paper: PSE roughly flat in |T| (TS), SMO grows superlinearly
       assert(rs.last._1 < rs.head._1 * 30, s"$q: PSE must not explode with |T|")
       assert(rs.last._2 > rs.head._2, s"$q: SMO should grow with |T|")

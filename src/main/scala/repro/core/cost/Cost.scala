@@ -35,15 +35,26 @@ object TCost {
 /** Which temporal cost function the IQP problem minimizes. */
 sealed trait CostFn {
   def k: Int
+  /** true iff the cost row `a(ai until ai + k)` is strictly better than the
+    * row `b(bi until bi + k)`. The DP compares flat rows with this. */
+  def lt(a: Array[Double], ai: Int, b: Array[Double], bi: Int): Boolean
   /** true iff a is strictly better than b. */
-  def lt(a: TCost, b: TCost): Boolean
+  def lt(a: TCost, b: TCost): Boolean = lt(a.at.toArray, 0, b.at.toArray, 0)
   def describe(c: TCost): String
   def scalarize(c: TCost): Double
 }
 /** c̃_w: weighted sum over time (PDW-PD). */
 final case class WeightedCost(weights: Vector[Double]) extends CostFn {
+  private val w = weights.toArray
   def k: Int = weights.size
-  def lt(a: TCost, b: TCost): Boolean = a.total(weights) < b.total(weights)
+  /** Weighted total of a row, summed in index order from 0.0. */
+  private def total(a: Array[Double], off: Int): Double = {
+    var s = 0.0; var i = 0
+    while (i < w.length) { s += a(off + i) * w(i); i += 1 }
+    s
+  }
+  def lt(a: Array[Double], ai: Int, b: Array[Double], bi: Int): Boolean =
+    total(a, ai) < total(b, bi)
   def describe(c: TCost): String = f"${c.total(weights)}%.1f"
   def scalarize(c: TCost): Double = c.total(weights)
 }
@@ -51,11 +62,11 @@ final case class WeightedCost(weights: Vector[Double]) extends CostFn {
   * cost at the latest time dominates.
   */
 final case class VectorCost(k: Int) extends CostFn {
-  def lt(a: TCost, b: TCost): Boolean = {
+  def lt(a: Array[Double], ai: Int, b: Array[Double], bi: Int): Boolean = {
     var i = k - 1
     while (i >= 0) {
-      if (a.at(i) < b.at(i)) return true
-      if (a.at(i) > b.at(i)) return false
+      if (a(ai + i) < b(bi + i)) return true
+      if (a(ai + i) > b(bi + i)) return false
       i -= 1
     }
     false

@@ -1,13 +1,13 @@
 package repro.core.opt
 
-import scala.collection.mutable
 import repro.core.cost._
-import repro.core.memo._
 import repro.core.rules._
 
 /** End-to-end optimization result: the incremental plan, its estimated
   * temporal cost, and the two timing phases the paper reports (§8.4):
   * plan-space exploration (PSE) and state-materialization optimization (SMO).
+  * `dpSolves` counts the temporal-DP solves SMO ran from scratch, and
+  * `dpRounds` is the most value-iteration rounds one of them took.
   */
 final case class OptResult(
     plan: IncrementalPlan,
@@ -16,14 +16,16 @@ final case class OptResult(
     smoNanos: Long,
     exploration: Exploration,
     memoGroups: Int,
-    memoNodes: Int) {
+    memoNodes: Int,
+    dpSolves: Int,
+    dpRounds: Int) {
   def pseMillis: Double = pseNanos / 1e6
   def smoMillis: Double = smoNanos / 1e6
 }
 
-/** The Tempura optimizer facade: explore the TVR plan space (§5), run the
-  * temporal DP (§6.2), then greedily pick states to materialize (§6.3
-  * Algorithm 1, with the Theorem-7 earliest-time reduction).
+/** The Tempura optimizer facade: explore the TVR plan space (§5), then run
+  * the temporal DP (§6.2) under the greedy state selection of [[Mqo]]
+  * (§6.3 Algorithm 1, with the Theorem-7 earliest-time reduction).
   */
 object Tempura {
 
@@ -34,101 +36,15 @@ object Tempura {
     // ---- PSE: plan-space exploration
     val exploration = new RuleEngine(problem, methods, flags).explore()
     val memo = exploration.memo
-    val k = problem.numTimes
-    val costFn = problem.costFn
 
+    // ---- SMO: temporal DP + greedy state selection
     val smoStart = System.nanoTime()
     val dp = new Dp(memo, problem)
-
-    val outPairs: Vector[(Int, Int)] = problem.outputTimes.toVector.map { ti =>
-      val g = memo.linkGroup(exploration.rootTvr, Snap(ti, MultP)).getOrElse(
-        throw new IllegalStateException(s"no snapshot of the query result at t=$ti"))
-      (g, ti)
-    }
-    val lastT = problem.outputTimes.max
-    // outputs required before the last run are states by definition (IVM
-    // keeps the view materialized between runs)
-    val autoShared: Vector[(Int, Int)] = outPairs.filter(_._2 < lastT)
-
-    def planCost(sortedS: Vector[(Int, Int)]): TCost = {
-      var total = TCost.zero(k)
-      for (i <- sortedS.indices) {
-        val (g, ts) = sortedS(i)
-        val before = sortedS.take(i).toMap
-        val sv = dp.solve(before)
-        total = total + sv.cost(g, ts) + TCost.at(k, ts, dp.saveScalar(g))
-      }
-      val svAll = dp.solve(sortedS.toMap)
-      for ((g, ti) <- outPairs) total = total + svAll.cost(g, ti)
-      total
-    }
-
-    // ---- baseline plan (only the mandatory output states shared)
-    var s: Vector[(Int, Int)] = autoShared.sortBy(_._2)
-    var sCost = planCost(s)
-
-    // ---- candidate set: groups used more than once in the baseline plan
-    val baselineStates = mutable.LinkedHashMap[(Int, Int), PlanNode]()
-    val svBase = dp.solve(s.toMap)
-    val baseOutPlans = outPairs.map { case (g, ti) =>
-      dp.extract(svBase, g, ti, baselineStates, s.toMap)
-    }
-    val usage = mutable.HashMap[Int, Int]().withDefaultValue(0)
-    def walk(p: PlanNode): Unit = p match {
-      case Compute(g, _, _, cs) => usage(g) += 1; cs.foreach(walk)
-      case LoadState(g, _, _)   => usage(g) += 1
-    }
-    baseOutPlans.foreach(walk); baselineStates.values.foreach(walk)
-    val candidateGroups = usage.filter(_._2 >= 2).keys
-      .filterNot(g => s.exists(_._1 == g))
-      .filter(g => dp.avail(g) != Int.MaxValue)
-    val candidates = mutable.LinkedHashSet[(Int, Int)]()
-    for (g <- candidateGroups) {
-      if (theorem7) candidates.add((g, dp.avail(g)))
-      else (dp.avail(g) until k).foreach(t => candidates.add((g, t)))
-    }
-
-    // ---- Algorithm 1: greedy addition while the plan cost improves
-    var improved = true
-    while (improved && candidates.nonEmpty) {
-      improved = false
-      var best: Option[((Int, Int), TCost)] = None
-      for (c <- candidates) {
-        val cand = (s :+ c).sortBy(_._2)
-        val cc = planCost(cand)
-        if (best.isEmpty || costFn.lt(cc, best.get._2)) best = Some((c, cc))
-      }
-      best match {
-        case Some((c, cc)) if costFn.lt(cc, sCost) =>
-          s = (s :+ c).sortBy(_._2); sCost = cc
-          candidates.remove(c); improved = true
-        case _ => ()
-      }
-    }
-
-    // ---- final extraction under the chosen shared set
-    val states = mutable.LinkedHashMap[(Int, Int), PlanNode]()
-    for (i <- s.indices) {
-      val (g, ts) = s(i)
-      if (!states.contains((g, ts))) {
-        val sv = dp.solve(s.take(i).toMap)
-        val p = dp.extract(sv, g, ts, states, s.take(i).toMap)
-        states((g, ts)) = p
-      }
-    }
-    val svAll = dp.solve(s.toMap)
-    val outPlans = outPairs.map { case (g, ti) =>
-      OutputEntry(ti, dp.extract(svAll, g, ti, states, s.toMap))
-    }
-    val stateEntries = states.toVector.map { case ((g, t), p) => StateEntry(g, t, p) }
-      .sortBy(e => (e.time, e.groupId))
-    val estStateRows = states.keys.map { case (g, _) => memo.groups(g).stats.rows }.sum
+    val plan = Mqo.select(dp, exploration.rootTvr, theorem7)
     val smoNanos = System.nanoTime() - smoStart
 
-    OptResult(
-      IncrementalPlan(stateEntries, outPlans, sCost, estStateRows),
-      sCost, exploration.exploreNanos, smoNanos, exploration,
-      memo.groups.size, memo.totalNodes)
+    OptResult(plan, plan.estCost, exploration.exploreNanos, smoNanos, exploration,
+      memo.groups.size, memo.totalNodes, dp.solves, dp.maxRounds)
   }
 
   /** The traditional (single-time, batch) optimizer baseline for Fig. 8(a):

@@ -70,7 +70,11 @@ final class RuleEngine(problem: IqpProblem, methods: Methods, flags: OptFlags) {
     problem.query.scans.map(s => s.table -> s).toMap
   private val baseTvrByTable = mutable.HashMap[String, Int]()
   private val derived = mutable.HashMap[(String, Vector[Int]), Int]()
+  /** Translational-symmetry skip-markers, keyed (rule, tvr, t1, t2): a time
+    * point t is the slot (t, t), a delta span (t1, t2]. */
   private val fired = mutable.HashSet[(String, Int, Int, Int)]()
+  /** Per TVR, the delta-delta merges done, indexed (a * k + b) * k + c. */
+  private val mergedDeltas = mutable.HashMap[Int, java.util.BitSet]()
   private var im2Fired = 0; private var ojvFired = 0; private var hovFired = 0
 
   // ---------------------------------------------------------------- helpers
@@ -78,10 +82,10 @@ final class RuleEngine(problem: IqpProblem, methods: Methods, flags: OptFlags) {
   private def tvr(id: Int): Tvr = memo.tvrs(id)
 
   /** Skip-marker for translational symmetry; only set on success. */
-  private def done(rule: String, t: Int, a: Int, b: Int = -1): Boolean =
-    flags.ts && fired.contains((rule, t, a, b))
-  private def markDone(rule: String, t: Int, a: Int, b: Int = -1): Unit =
-    if (flags.ts) fired.add((rule, t, a, b))
+  private def done(rule: String, id: Int, t1: Int, t2: Int): Boolean =
+    flags.ts && fired.contains((rule, id, t1, t2))
+  private def markDone(rule: String, id: Int, t1: Int, t2: Int): Unit =
+    if (flags.ts) fired.add((rule, id, t1, t2))
 
   private def stateSchemaCols(keys: Seq[String], aggs: Seq[AggCall],
                               childCols: Seq[(String, ColType)]): Seq[(String, ColType)] = {
@@ -338,7 +342,7 @@ final class RuleEngine(problem: IqpProblem, methods: Methods, flags: OptFlags) {
     val t = tvr(id)
     val logical = t.logical.getOrElse(return)
     if (t.baseTable.isDefined) return
-    for (ti <- 0 until k if !done("snap", ti, id)) {
+    for (ti <- 0 until k if !done("snap", id, ti, ti)) {
       memo.nRuleAttempts += 1
       val childSnaps = t.childTvrs.map(c => memo.linkGroup(c, Snap(ti)))
       if (childSnaps.forall(_.isDefined)) {
@@ -353,7 +357,7 @@ final class RuleEngine(problem: IqpProblem, methods: Methods, flags: OptFlags) {
             registerAs(id, Snap(ti, StateP), MPartialAgg(keys, aggs), cs)
           case _: Scan => ()
         }
-        markDone("snap", ti, id)
+        markDone("snap", id, ti, ti)
       }
     }
   }
@@ -371,11 +375,11 @@ final class RuleEngine(problem: IqpProblem, methods: Methods, flags: OptFlags) {
     val t = tvr(id)
     t.logical match {
       case Some(AggOp(_, keys, aggs)) =>
-        for (ti <- 0 until k if !done("final", ti, id)) {
+        for (ti <- 0 until k if !done("final", id, ti, ti)) {
           memo.nRuleAttempts += 1
           memo.linkGroup(id, Snap(ti, StateP)).foreach { g =>
             registerAs(id, Snap(ti), MFinalAgg(keys, aggs), Vector(g))
-            markDone("final", ti, id)
+            markDone("final", id, ti, ti)
           }
         }
       case _ => ()
@@ -392,30 +396,30 @@ final class RuleEngine(problem: IqpProblem, methods: Methods, flags: OptFlags) {
     val t = tvr(id)
     val logical = t.logical.getOrElse(return)
     if (t.baseTable.isDefined) return
-    for ((t1, t2) <- spans if !done("delta", t1 * 100 + t2, id)) {
+    for ((t1, t2) <- spans if !done("delta", id, t1, t2)) {
       memo.nRuleAttempts += 1
       def cDel(i: Int, p: Persp = MultP) = memo.linkGroup(t.childTvrs(i), Del(t1, t2, p))
       def cSnap(i: Int, ti: Int) = memo.linkGroup(t.childTvrs(i), Snap(ti))
       logical match {
         case FilterOp(_, p) =>
           cDel(0).foreach { g =>
-            registerAs(id, Del(t1, t2), MFilter(p), Vector(g)); markDone("delta", t1 * 100 + t2, id)
+            registerAs(id, Del(t1, t2), MFilter(p), Vector(g)); markDone("delta", id, t1, t2)
           }
         case ProjectOp(_, es) =>
           cDel(0).foreach { g =>
-            registerAs(id, Del(t1, t2), MProject(es), Vector(g)); markDone("delta", t1 * 100 + t2, id)
+            registerAs(id, Del(t1, t2), MProject(es), Vector(g)); markDone("delta", id, t1, t2)
           }
         case UnionAllOp(cs) =>
           val ds = t.childTvrs.indices.map(i => cDel(i))
           if (ds.forall(_.isDefined)) {
             registerAs(id, Del(t1, t2), MUnionAll(ds.size), ds.map(_.get).toVector)
-            markDone("delta", t1 * 100 + t2, id)
+            markDone("delta", id, t1, t2)
           }
         case AggOp(_, keys, aggs) if aggs.forall(_.incrementable) &&
             (methods.im1AggDelta || hovChain(id).isEmpty) =>
           cDel(0).foreach { g =>
             registerAs(id, Del(t1, t2, StateP), MPartialAgg(keys, aggs), Vector(g))
-            markDone("delta", t1 * 100 + t2, id)
+            markDone("delta", id, t1, t2)
           }
         case JoinOp(_, _, kd, lk, rk) if kd == Inner || methods.im1OuterDelta =>
           // children [lOld, dL, rOld, dR]; the operator maintains the
@@ -425,7 +429,7 @@ final class RuleEngine(problem: IqpProblem, methods: Methods, flags: OptFlags) {
           if (need.forall(_.isDefined)) {
             registerAs(id, Del(t1, t2), MDeltaJoin(kd, lk, rk, rightColsOf(id)),
               need.map(_.get).toVector)
-            markDone("delta", t1 * 100 + t2, id)
+            markDone("delta", id, t1, t2)
           }
         case _ => ()
       }
@@ -440,34 +444,49 @@ final class RuleEngine(problem: IqpProblem, methods: Methods, flags: OptFlags) {
     val keysAggs = t.logical.collect { case AggOp(_, ks, as) => (ks, as) }
     for ((t1, t2) <- spans) {
       // multiplicity perspective
-      if (!done("mergeM", t1 * 100 + t2, id)) {
+      if (!done("mergeM", id, t1, t2)) {
         memo.nRuleAttempts += 1
         (memo.linkGroup(id, Snap(t1)), memo.linkGroup(id, Del(t1, t2))) match {
           case (Some(s), Some(d)) =>
             registerAs(id, Snap(t2), MMergeMult(), Vector(s, d))
-            markDone("mergeM", t1 * 100 + t2, id)
+            markDone("mergeM", id, t1, t2)
           case _ => ()
         }
       }
       // attribute (state) perspective
       keysAggs.foreach { case (ks, as) =>
-        if (!done("mergeS", t1 * 100 + t2, id)) {
+        if (!done("mergeS", id, t1, t2)) {
           memo.nRuleAttempts += 1
           (memo.linkGroup(id, Snap(t1, StateP)), memo.linkGroup(id, Del(t1, t2, StateP))) match {
             case (Some(s), Some(d)) =>
               registerAs(id, Snap(t2, StateP), MMergeState(ks, as), Vector(s, d))
-              markDone("mergeS", t1 * 100 + t2, id)
+              markDone("mergeS", id, t1, t2)
             case _ => ()
           }
         }
       }
     }
     if (!flags.ge) {
-      for { a <- 0 until k - 1; b <- a + 1 until k - 1; c <- b + 1 until k } {
-        memo.nRuleAttempts += 1
-        (memo.linkGroup(id, Del(a, b)), memo.linkGroup(id, Del(b, c))) match {
-          case (Some(x), Some(y)) => registerAs(id, Del(a, c), MMergeDelta(), Vector(x, y))
-          case _ => ()
+      // Del(a, b) + Del(b, c) → Del(a, c), visited in (a, b, c) order over a
+      // flat view of this TVR's delta links; under TS a merged triple is
+      // not matched again
+      val del = Array.fill(k * k)(-1)
+      t.links.foreach { case (Del(a, b, MultP), g) => del(a * k + b) = g; case _ => () }
+      val merged = mergedDeltas.getOrElseUpdate(id, new java.util.BitSet)
+      for (a <- 0 until k - 1; b <- a + 1 until k - 1) {
+        val x = del(a * k + b)
+        if (x < 0) memo.nRuleAttempts += k - 1 - b
+        else for (c <- b + 1 until k) {
+          val triple = (a * k + b) * k + c
+          if (!(flags.ts && merged.get(triple))) {
+            memo.nRuleAttempts += 1
+            val y = del(b * k + c)
+            if (y >= 0) {
+              registerAs(id, Del(a, c), MMergeDelta(), Vector(x, y))
+              del(a * k + c) = t.links(Del(a, c))
+              if (flags.ts) merged.set(triple)
+            }
+          }
         }
       }
     }
@@ -478,14 +497,14 @@ final class RuleEngine(problem: IqpProblem, methods: Methods, flags: OptFlags) {
     */
   private def ruleDiff(id: Int): Boolean = {
     var firedAny = false
-    for ((t1, t2) <- spans if !done("diff", t1 * 100 + t2, id)) {
+    for ((t1, t2) <- spans if !done("diff", id, t1, t2)) {
       memo.nRuleAttempts += 1
       val skip = flags.pna && memo.linkGroup(id, Del(t1, t2)).isDefined
       if (!skip) {
         (memo.linkGroup(id, Snap(t2)), memo.linkGroup(id, Snap(t1))) match {
           case (Some(sNew), Some(sOld)) =>
             if (registerAs(id, Del(t1, t2), MDiffMult(), Vector(sNew, sOld))) firedAny = true
-            markDone("diff", t1 * 100 + t2, id)
+            markDone("diff", id, t1, t2)
           case _ => ()
         }
       }
@@ -538,13 +557,13 @@ final class RuleEngine(problem: IqpProblem, methods: Methods, flags: OptFlags) {
     (t.inter.get(Im2Pos), t.inter.get(Im2Neg)) match {
       case (Some(pos), Some(neg)) if pos != id =>
         val rCols = rightColsOf(id)
-        for (ti <- 0 until k if !done("im2use", ti, id)) {
+        for (ti <- 0 until k if !done("im2use", id, ti, ti)) {
           memo.nRuleAttempts += 1
           (memo.linkGroup(pos, Snap(ti)), memo.linkGroup(neg, Snap(ti))) match {
             case (Some(pg), Some(ng)) =>
               val padded = anonGroup(MPadProject(rCols), Vector(ng))
               registerAs(id, Snap(ti), MUnionAll(2), Vector(pg, padded))
-              markDone("im2use", ti, id)
+              markDone("im2use", id, ti, ti)
             case _ => ()
           }
         }
@@ -570,12 +589,12 @@ final class RuleEngine(problem: IqpProblem, methods: Methods, flags: OptFlags) {
             memo.addInter(id, Im2AggPos, ap._1); memo.addInter(id, Im2AggNeg, an._1)
             memo.recordParent(ap._1, id); memo.recordParent(an._1, id)
             im2Fired += 1
-            for (ti <- 0 until k if !done("im2agg", ti, id)) {
+            for (ti <- 0 until k if !done("im2agg", id, ti, ti)) {
               memo.nRuleAttempts += 1
               (memo.linkGroup(ap._1, Snap(ti, StateP)), memo.linkGroup(an._1, Snap(ti, StateP))) match {
                 case (Some(pg), Some(ng)) =>
                   registerAs(id, Snap(ti, StateP), MMergeState(keys, aggs), Vector(pg, ng))
-                  markDone("im2agg", ti, id)
+                  markDone("im2agg", id, ti, ti)
                 case _ => ()
               }
             }
@@ -593,7 +612,7 @@ final class RuleEngine(problem: IqpProblem, methods: Methods, flags: OptFlags) {
     val t = tvr(id)
     t.logical match {
       case Some(JoinOp(_, _, LeftOuter, lk, rk)) =>
-        for ((t1, t2) <- spans if !done("ojv", t1 * 100 + t2, id)) {
+        for ((t1, t2) <- spans if !done("ojv", id, t1, t2)) {
           memo.nRuleAttempts += 1
           val need = Seq(
             memo.linkGroup(t.childTvrs(0), Snap(t1)),
@@ -605,7 +624,7 @@ final class RuleEngine(problem: IqpProblem, methods: Methods, flags: OptFlags) {
             registerAs(id, Del(t1, t2), MOjvDelta(lk, rk, rightColsOf(id)),
               need.map(_.get).toVector)
             ojvFired += 1
-            markDone("ojv", t1 * 100 + t2, id)
+            markDone("ojv", id, t1, t2)
           }
         }
       case _ => ()
@@ -646,16 +665,16 @@ final class RuleEngine(problem: IqpProblem, methods: Methods, flags: OptFlags) {
         memo.addInter(id, HovAux, hovT)
         memo.recordParent(hovT, id)
         leaves.foreach(l => memo.recordParent(l, hovT))
-        for (ti <- 0 until k if !done("hovInit", ti, id)) {
+        for (ti <- 0 until k if !done("hovInit", id, ti, ti)) {
           memo.nRuleAttempts += 1
           val snaps = leaves.map(l => memo.linkGroup(l, Snap(ti)))
           if (snaps.forall(_.isDefined)) {
             registerAs(hovT, Snap(ti, AuxP), MHovInit(spec), snaps.map(_.get).toVector)
             hovFired += 1
-            markDone("hovInit", ti, id)
+            markDone("hovInit", id, ti, ti)
           }
         }
-        for ((t1, t2) <- spans if !done("hovStep", t1 * 100 + t2, id)) {
+        for ((t1, t2) <- spans if !done("hovStep", id, t1, t2)) {
           memo.nRuleAttempts += 1
           val prev = memo.linkGroup(hovT, Snap(t1, AuxP))
           val dels = leaves.map(l => memo.linkGroup(l, Del(t1, t2)))
@@ -667,7 +686,7 @@ final class RuleEngine(problem: IqpProblem, methods: Methods, flags: OptFlags) {
               registerAs(id, Del(t1, t2, StateP), MHovExtract(spec), Vector(stepped))
             }
             hovFired += 1
-            markDone("hovStep", t1 * 100 + t2, id)
+            markDone("hovStep", id, t1, t2)
           }
         }
       case _ => ()
