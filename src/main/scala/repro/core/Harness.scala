@@ -37,17 +37,19 @@ object Harness {
     (res, exec)
   }
 
-  /** Oracle-check the final output of an incremental run against batch SQL
-    * over the full (merged) inputs.
+  /** Oracle-check every output of an incremental run: the output at time t
+    * against batch SQL over the inputs merged through t.
     */
-  def checkFinalOutput(exec: ExecReport, query: RelOp,
-                       inputs: Map[String, Vector[DataFrame]]): Unit = {
-    val fin = exec.outputs.maxBy(_._1)._2
-    val tables = inputs.toSeq.map { case (t, deltas) =>
-      t -> Delta.expand(Delta.collapse(Delta.unionAll(deltas.map(Delta.attach))))
+  def checkOutputs(exec: ExecReport, query: RelOp,
+                   inputs: Map[String, Vector[DataFrame]]): Unit =
+    for ((t, out) <- exec.outputs) {
+      val tables = inputs.toSeq.map { case (tb, deltas) =>
+        tb -> Delta.expand(Delta.collapse(Delta.unionAll(deltas.take(t + 1).map(Delta.attach))))
+      }
+      try Oracle.assertEquivalent(Delta.expand(out), query.toSql, tables: _*)
+      catch { case e: IllegalArgumentException =>
+        throw new IllegalArgumentException(s"output at t=$t: ${e.getMessage}", e) }
     }
-    Oracle.assertEquivalent(Delta.expand(fin), query.toSql, tables: _*)
-  }
 
   val pdwCost2: CostFn = WeightedCost(Vector(0.25, 1.0))
   val ivmCost2: CostFn = VectorCost(2)

@@ -8,18 +8,19 @@ import repro.core.memo._
 import repro.core.opt._
 import repro.core.tvr.{Delta, DeltaOps}
 
-/** Runtime value: a delta-encoded relation, or a HOV view bundle. */
+/** Runtime value: a delta-encoded relation, or a HOV view bundle (with the
+  * trigger work that built it). */
 sealed trait RtVal
 final case class Rel(df: DataFrame, rows: Long) extends RtVal
 final case class HovRt(leafCur: Vector[DataFrame],
                        views: Vector[Option[DataFrame]],
                        contribution: DataFrame,
-                       stateRows: Double) extends RtVal
+                       stateRows: Double,
+                       work: Double) extends RtVal
 
 /** Execution metrics of an incremental plan run (§8.2's "real" costs):
-  * a rows-processed CPU proxy per time step (delta-sized inputs streamed
-  * plus outputs, with resident state charged at the probe rate — mirroring
-  * the cost model so measured and estimated costs are comparable), wall
+  * a rows-processed CPU proxy per time step ([[OpCost.work]] over observed
+  * row counts, so measured and estimated costs come from one formula), wall
   * time per step, and materialized-state sizes (Fig. 7(e)(f)).
   */
 final case class ExecReport(
@@ -40,7 +41,7 @@ final class Executor(spark: SparkSession, plan: IncrementalPlan,
   private val rowsByTime = Array.fill(numTimes)(0.0)
   private val measuredKeys = mutable.HashSet[(Int, Int)]()
   private val stateSizes = mutable.LinkedHashMap[(Int, Int), Double]()
-  private val P = OpCost.ProbeRate
+  private val stateEntries = plan.states.map(s => (s.groupId, s.time) -> s).toMap
 
   private def mat(df: DataFrame): Rel = {
     val d = df.persist()
@@ -64,60 +65,43 @@ final class Executor(spark: SparkSession, plan: IncrementalPlan,
 
   private def eval(p: PlanNode): RtVal = cache.getOrElseUpdate((p.groupId, p.time), p match {
     case LoadState(g, t, from) =>
-      val v = cache.getOrElse((g, from),
-        throw new IllegalStateException(s"state ($g,$from) not materialized before t=$t"))
-      // loading a state streams a fraction of its rows (OpCost.StateRate)
-      addRows(t, (g, from), rowsOf(v) * OpCost.StateRate)
+      if (from > t) throw new IllegalStateException(s"plan error: state ($g,$from) loaded at t=$t")
+      val v = cache.getOrElse((g, from), evalState(g, from))
+      addRows(t, (g, from), OpCost.stateWork(rowsOf(v)))
       v
     case Compute(g, t, op, children) =>
       val cs = children.map(eval)
       def df(i: Int) = relOf(cs(i))
-      def n(i: Int) = rowsOf(cs(i))
-      val (value, measured): (RtVal, Double) = op match {
-        case MScanSnap(tb, ti) =>
-          val r = mat(scanSnap(tb, ti)); (r, r.rows.toDouble)
-        case MScanDelta(tb, t1, t2) =>
-          val r = mat(scanDelta(tb, t1, t2)); (r, r.rows.toDouble)
-        case MFilter(pred) =>
-          val r = mat(DeltaOps.filter(df(0), pred)); (r, n(0))
-        case MProject(es) =>
-          val r = mat(DeltaOps.project(df(0), es)); (r, n(0))
-        case MUnionAll(_) =>
-          val r = mat(Delta.unionAll(children.indices.map(df))); (r, children.indices.map(n).sum)
+      val value: RtVal = op match {
+        case MScanSnap(tb, ti) => mat(scanSnap(tb, ti))
+        case MScanDelta(tb, t1, t2) => mat(scanDelta(tb, t1, t2))
+        case MFilter(pred) => mat(DeltaOps.filter(df(0), pred))
+        case MProject(es) => mat(DeltaOps.project(df(0), es))
+        case MUnionAll(_) => mat(Delta.unionAll(children.indices.map(df)))
         case MJoin(kind, lk, rk, rCols) =>
-          val out = kind match {
+          mat(kind match {
             case Inner     => DeltaOps.joinInner(df(0), df(1), lk, rk)
             case LeftOuter => DeltaOps.joinLeftOuterSnap(df(0), df(1), lk, rk, rCols)
             case LeftSemi  => DeltaOps.semiSnap(df(0), df(1), lk, rk)
             case LeftAnti  => DeltaOps.antiSnap(df(0), df(1), lk, rk)
-          }
-          val r = mat(out); (r, n(0) + n(1) + r.rows)
+          })
         case MDeltaJoin(kind, lk, rk, rCols) =>
           // children [lOld, dL, rOld, dR]; the resident right-side state is
-          // updated in place (charged at the probe rate)
+          // updated in place
           val rNew = Delta.merge(df(2), df(3))
-          val out = kind match {
+          mat(kind match {
             case Inner     => DeltaOps.deltaInnerJoin(df(0), df(1), rNew, df(3), lk, rk)
             case LeftOuter => DeltaOps.deltaLeftOuter(df(0), df(1), df(2), df(3), rNew, lk, rk, rCols)
             case LeftSemi  => DeltaOps.deltaSemi(df(0), df(1), df(2), df(3), rNew, lk, rk)
             case LeftAnti  => DeltaOps.deltaAnti(df(0), df(1), df(2), df(3), rNew, lk, rk)
-          }
-          val r = mat(out)
-          (r, n(1) + n(3) + r.rows + P * (n(0) + n(2)))
-        case MMergeMult() =>
-          val r = mat(Delta.merge(df(0), df(1))); (r, n(1) + P * n(0))
-        case MMergeDelta() =>
-          val r = mat(Delta.unionAll(Seq(df(0), df(1)))); (r, n(0) + n(1))
-        case MDiffMult() =>
-          val r = mat(Delta.merge(df(0), Delta.negate(df(1)))); (r, n(0) + n(1) + r.rows)
-        case MPartialAgg(keys, aggs) =>
-          val r = mat(DeltaOps.partialAgg(df(0), keys, aggs)); (r, n(0) + r.rows)
-        case MMergeState(keys, aggs) =>
-          val r = mat(DeltaOps.mergeStates(Seq(df(0), df(1)), keys, aggs)); (r, n(1) + P * n(0))
-        case MFinalAgg(keys, aggs) =>
-          val r = mat(DeltaOps.finalAgg(df(0), keys, aggs)); (r, n(0))
-        case MPadProject(cols) =>
-          val r = mat(DeltaOps.padNulls(df(0), cols)); (r, n(0))
+          })
+        case MMergeMult() => mat(Delta.merge(df(0), df(1)))
+        case MMergeDelta() => mat(Delta.unionAll(Seq(df(0), df(1))))
+        case MDiffMult() => mat(Delta.merge(df(0), Delta.negate(df(1))))
+        case MPartialAgg(keys, aggs) => mat(DeltaOps.partialAgg(df(0), keys, aggs))
+        case MMergeState(keys, aggs) => mat(DeltaOps.mergeStates(Seq(df(0), df(1)), keys, aggs))
+        case MFinalAgg(keys, aggs) => mat(DeltaOps.finalAgg(df(0), keys, aggs))
+        case MPadProject(cols) => mat(DeltaOps.padNulls(df(0), cols))
         case MOjvDelta(lk, rk, rCols) =>
           // children [lOld, dL, rOld, dR, qOld]: per-table updates,
           // ΔQ^I derived from the previous snapshot of Q (Eq. 4b)
@@ -147,8 +131,7 @@ final class Executor(spark: SparkSession, plan: IncrementalPlan,
               .select(Delta.dataCols(df(0)).map(ld(_)) :+ ld("__lm").as(Delta.MULT): _*),
             rCols)
           val dQL = DeltaOps.joinLeftOuterSnap(df(1), rNew, lk, rk, rCols)
-          val r = mat(Delta.unionAll(Seq(dQD, corrRetract, corrRestore, dQL)))
-          (r, n(1) + n(3) + r.rows + 0.3 * n(4) + P * (n(0) + n(2)))
+          mat(Delta.unionAll(Seq(dQD, corrRetract, corrRestore, dQL)))
         case MHovInit(spec) =>
           val leaves = children.indices.map(i => Delta.collapse(df(i)).persist()).toVector
           val views = (0 until spec.nLeaves).map { i =>
@@ -157,21 +140,23 @@ final class Executor(spark: SparkSession, plan: IncrementalPlan,
           }.toVector
           val vRows = views.flatten.map(_.count().toDouble).sum
           val lRows = leaves.map(_.count().toDouble).sum
-          val h = HovRt(leaves, views, null, vRows + lRows)
-          (h, vRows + lRows)
+          HovRt(leaves, views, null, vRows + lRows, vRows + lRows)
         case MHovStep(spec, _) =>
-          val prev = cs(0).asInstanceOf[HovRt]
-          val deltas = (1 until children.size).map(df).toVector
-          val (h, work) = hovStep(spec, prev, deltas)
-          (h, work)
-        case MHovExtract(spec) =>
-          val prev = cs(0).asInstanceOf[HovRt]
-          val r = mat(prev.contribution)
-          (r, r.rows.toDouble)
+          hovStep(spec, cs(0).asInstanceOf[HovRt], (1 until children.size).map(df).toVector)
+        case MHovExtract(_) => mat(cs(0).asInstanceOf[HovRt].contribution)
       }
-      addRows(t, (g, t), measured)
+      addRows(t, (g, t), value match {
+        case h: HovRt     => h.work
+        case Rel(_, rows) => OpCost.work(op, cs.map(rowsOf), rows.toDouble)
+      })
       value
   })
+
+  /** Evaluate a state a load needs before [[run]] reached it: one listed
+    * after a consumer at the same time. */
+  private def evalState(g: Int, t: Int): RtVal =
+    eval(stateEntries.getOrElse((g, t),
+      throw new IllegalStateException(s"plan error: no state entry ($g,$t)")).plan)
 
   private def memoLeftCols(rCols: Seq[(String, ColType)], qOld: DataFrame) = {
     val rNames = rCols.map(_._1).toSet
@@ -195,7 +180,7 @@ final class Executor(spark: SparkSession, plan: IncrementalPlan,
     * complement views for the contribution joins and updating the other
     * views incrementally (DBToaster-style, §4.2 Eq. 5).
     */
-  private def hovStep(spec: HovSpec, prev: HovRt, deltas: Vector[DataFrame]): (HovRt, Double) = {
+  private def hovStep(spec: HovSpec, prev: HovRt, deltas: Vector[DataFrame]): HovRt = {
     val n = spec.nLeaves
     val leafCols = spec.leafSchemas.flatten.map(_._1)
     var leaves = prev.leafCur
@@ -232,7 +217,7 @@ final class Executor(spark: SparkSession, plan: IncrementalPlan,
       else DeltaOps.partialAgg(Delta.unionAll(contribs.toSeq), spec.keys, spec.aggs)
     val vRows = views.flatten.map(_.count().toDouble).sum
     val lRows = leaves.map(_.count().toDouble).sum
-    (HovRt(leaves, views, contribution.persist(), vRows + lRows), work)
+    HovRt(leaves, views, contribution.persist(), vRows + lRows, work)
   }
 
   /** Run the plan across all time steps. */
@@ -244,7 +229,6 @@ final class Executor(spark: SparkSession, plan: IncrementalPlan,
       for (st <- plan.states if st.time == t) {
         val v = eval(st.plan)
         stateSizes((st.groupId, st.time)) = rowsOf(v)
-        cache((st.groupId, st.time)) = v
       }
       for (out <- plan.outputs if out.time == t) {
         val v = eval(out.plan)

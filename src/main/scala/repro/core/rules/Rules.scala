@@ -118,18 +118,9 @@ final class RuleEngine(problem: IqpProblem, methods: Methods, flags: OptFlags) {
       case MUnionAll(_)           => Estimator.unionAll(children.indices.map(cs))
       case MJoin(kind, lk, rk, _) => Estimator.join(cs(0), cs(1), kind, lk, rk)
       case MDeltaJoin(kind, lk, rk, _) =>
-        val rNew = RelStats(cs(2).rows + cs(3).rows,
-          (cs(2).distinct.keySet ++ cs(3).distinct.keySet)
-            .map(c => c -> math.max(cs(2).d(c), cs(3).d(c))).toMap)
-        val a = Estimator.join(cs(1), rNew, kind, lk, rk)
-        val b = Estimator.join(cs(0), cs(3),
-          if (kind == Inner || kind == LeftOuter) Inner else LeftSemi, lk, rk)
-        RelStats(a.rows + b.rows + (if (kind == Inner) 0.0 else 0.1 * cs(3).rows),
-          (a.distinct.keySet ++ b.distinct.keySet)
-            .map(c => c -> math.max(a.d(c), b.d(c))).toMap)
-      case MMergeMult()  => RelStats(cs(0).rows + 0.5 * cs(1).rows,
-        (cs(0).distinct.keySet ++ cs(1).distinct.keySet)
-          .map(c => c -> math.max(cs(0).d(c), cs(1).d(c))).toMap)
+        val rNew = RelStats(cs(2).rows + cs(3).rows, Estimator.maxMerge(cs(2), cs(3)))
+        Estimator.deltaJoin(cs(0), cs(1), rNew, cs(3), kind, lk, rk).out
+      case MMergeMult()  => RelStats(cs(0).rows + 0.5 * cs(1).rows, Estimator.maxMerge(cs(0), cs(1)))
       case MMergeDelta() => Estimator.unionAll(Seq(cs(0), cs(1)))
       case MDiffMult()   => RelStats(math.max(cs(0).rows * 0.1, cs(0).rows - cs(1).rows), cs(0).distinct)
       case MPartialAgg(keys, _) => Estimator.agg(cs(0), keys)
@@ -140,11 +131,7 @@ final class RuleEngine(problem: IqpProblem, methods: Methods, flags: OptFlags) {
       case MPadProject(cols) => RelStats(cs(0).rows, cs(0).distinct ++ cols.map(_._1 -> 1.0))
       case MOjvDelta(lk, rk, _) =>
         val rNew = RelStats(cs(2).rows + cs(3).rows, cs(2).distinct)
-        val a = Estimator.join(cs(1), rNew, LeftOuter, lk, rk)
-        val b = Estimator.join(cs(0), cs(3), Inner, lk, rk)
-        RelStats(a.rows + b.rows + 0.1 * cs(3).rows,
-          (a.distinct.keySet ++ b.distinct.keySet)
-            .map(c => c -> math.max(a.d(c), b.d(c))).toMap)
+        Estimator.deltaJoin(cs(0), cs(1), rNew, cs(3), LeftOuter, lk, rk).out
       case MHovInit(spec) =>
         // rows here represent the materialized view-bundle size
         var total = 0.0
@@ -241,14 +228,7 @@ final class RuleEngine(problem: IqpProblem, methods: Methods, flags: OptFlags) {
             for {
               lOld <- snap(t.childTvrs(0), t1); dL <- del(t.childTvrs(0), t1, t2)
               rNew <- snap(t.childTvrs(1), t2); dR <- del(t.childTvrs(1), t1, t2)
-            } yield {
-              val a = Estimator.join(dL, rNew, kd, lk, rk)
-              val b = Estimator.join(lOld, dR,
-                if (kd == Inner || kd == LeftOuter) Inner else LeftSemi, lk, rk)
-              RelStats(a.rows + b.rows + (if (kd == Inner) 0.0 else 0.1 * dR.rows),
-                (a.distinct.keySet ++ b.distinct.keySet)
-                  .map(c => c -> math.max(a.d(c), b.d(c))).toMap)
-            }
+            } yield Estimator.deltaJoin(lOld, dL, rNew, dR, kd, lk, rk).out
           case UnionAllOp(_) =>
             val cs = t.childTvrs.map(del(_, t1, t2))
             if (cs.forall(_.isDefined)) Some(Estimator.unionAll(cs.map(_.get))) else None

@@ -99,6 +99,24 @@ object Estimator {
     RelStats(rows, dis.map { case (k, v) => k -> math.min(v, math.max(1.0, rows)) })
   }
 
+  /** Per-column maximum of two relations' distinct counts. */
+  def maxMerge(a: RelStats, b: RelStats): Map[String, Double] =
+    (a.distinct.keySet ++ b.distinct.keySet).map(c => c -> math.max(a.d(c), b.d(c))).toMap
+
+  /** A delta join's output parts: ΔL ⋈ R_new, L_old ⋈ ΔR (a semi join for
+    * semi/anti, whose flips are bounded by the left side), and for non-inner
+    * joins the rows retracted or restored by key flips. */
+  final case class DeltaJoinRows(fromDL: RelStats, fromDR: RelStats, flips: Double) {
+    def out: RelStats = RelStats(fromDL.rows + fromDR.rows + flips, maxMerge(fromDL, fromDR))
+  }
+
+  def deltaJoin(lOld: RelStats, dL: RelStats, rNew: RelStats, dR: RelStats,
+                kind: JoinKind, lk: Seq[String], rk: Seq[String]): DeltaJoinRows =
+    DeltaJoinRows(
+      join(dL, rNew, kind, lk, rk),
+      join(lOld, dR, if (kind == Inner || kind == LeftOuter) Inner else LeftSemi, lk, rk),
+      if (kind == Inner) 0.0 else 0.1 * dR.rows)
+
   def agg(in: RelStats, keys: Seq[String]): RelStats = {
     val groups = if (keys.isEmpty) 1.0 else math.min(in.rows, keys.map(in.d).product)
     RelStats(groups, keys.map(k => k -> math.min(in.d(k), groups)).toMap)

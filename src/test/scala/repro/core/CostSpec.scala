@@ -80,4 +80,9 @@ class CostSpec extends AnyFunSuite {
     val m = OpCost.of(MMergeMult(), Vector(big, tiny), big)
     assert(m.scalar < big.rows / 2, "merging a small delta must not rescan the snapshot")
   }
+
+  test("merging two deltas streams both: nothing is resident") {
+    val m = OpCost.of(MMergeDelta(), Vector(big, tiny), RelStats(big.rows + tiny.rows, Map.empty))
+    assert(m.scalar == big.rows + tiny.rows)
+  }
 }

@@ -1,13 +1,16 @@
 package repro.core
 
 import repro.SparkSpec
+import repro.core.cost.VectorCost
 import repro.core.rules.Methods
 import repro.queries.{LiteQueries, TpcdsLite}
 import repro.queries.TpcdsLite._
 
 /** Incremental end-to-end runs of TPC-DS-lite queries: for each selected
   * (query, arrival pattern, method), optimize, execute across the time
-  * steps, and oracle-check the final snapshot against batch DuckDB.
+  * steps, and oracle-check every output against batch DuckDB. The measured
+  * per-time rows of each case are pinned in `exec-pins.txt`, so a change
+  * to the executor or its cost accounting must reproduce them exactly.
   */
 class IncrementalLiteSpec extends SparkSpec {
   private val SF = 0.001
@@ -16,14 +19,32 @@ class IncrementalLiteSpec extends SparkSpec {
     "IM-1" -> Methods.im1, "IM-2" -> Methods.im2, "OJV" -> Methods.ojv,
     "HOV" -> Methods.hov, "Tempura" -> Methods.full)
 
+  /** Pin key -> comma-separated `perTimeRows`. */
+  private val golden: Map[String, String] = {
+    val src = scala.io.Source.fromResource("exec-pins.txt")(scala.io.Codec.UTF8)
+    try src.getLines().filter(_.nonEmpty).map { l =>
+      val Array(key, rows) = l.split(' '); key -> rows
+    }.toMap
+    finally src.close()
+  }
+
+  /** One case over `k` time steps: under c̃_w (PDW) one output at the last
+    * time, under c̃_v (IVM, `ivm = true`) an output at every time.
+    */
   private def runCase(qName: String, pattern: Pattern, methodName: String,
-                      methods: Methods): Unit = {
+                      methods: Methods, ivm: Boolean = false, k: Int = 2): Unit = {
     val q = LiteQueries.byName(qName)
-    val in = TpcdsLite.inputsFor(spark, q, pattern, SF)
-    val problem = Harness.problemFromData(q, in, Seq(1), Harness.pdwCost2,
+    val in = TpcdsLite.inputsFor(spark, q, pattern, SF, k)
+    val (outTimes, costFn, tag) =
+      if (ivm) (0 until k, VectorCost(k), "v") else (Seq(k - 1), Harness.pdwCost2, "w")
+    val problem = Harness.problemFromData(q, in, outTimes, costFn,
       retractions = pattern.retractTables)
     val (_, exec) = Harness.optimizeAndRun(spark, problem, in, methods)
-    Harness.checkFinalOutput(exec, q, in)
+    assert(exec.outputs.map(_._1) == outTimes)
+    Harness.checkOutputs(exec, q, in)
+    val key = s"$qName/${pattern.name}/$methodName/$tag/T=$k"
+    val rows = exec.perTimeRows.mkString(",")
+    assert(golden.get(key).contains(rows), s"$key measured $rows")
   }
 
   // q93 (simple outer join + agg): full grid of patterns x methods
@@ -52,13 +73,14 @@ class IncrementalLiteSpec extends SparkSpec {
   // q80 (three outer-join channels + union)
   test("q80 / delta-big / Tempura") { runCase("q80", DeltaBig, "Tempura", Methods()) }
 
-  // IVM setting: outputs at both times
+  // IVM setting: outputs at every time
   test("q93 / delta-big / Tempura under IVM (outputs at every run)") {
-    val q = LiteQueries.byName("q93")
-    val in = TpcdsLite.inputsFor(spark, q, DeltaBig, SF)
-    val problem = Harness.problemFromData(q, in, Seq(0, 1), Harness.ivmCost2)
-    val (_, exec) = Harness.optimizeAndRun(spark, problem, in, Methods())
-    assert(exec.outputs.size == 2)
-    Harness.checkFinalOutput(exec, q, in)
+    runCase("q93", DeltaBig, "Tempura", Methods(), ivm = true)
+  }
+  // three steps: a state loads another state saved at the same time
+  for (q <- Seq("q93", "q40")) {
+    test(s"$q / delta-RS / Tempura under IVM, |T|=3 (outputs at every run)") {
+      runCase(q, DeltaRS, "Tempura", Methods.full, ivm = true, k = 3)
+    }
   }
 }

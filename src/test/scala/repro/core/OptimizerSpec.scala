@@ -63,7 +63,7 @@ class OptimizerSpec extends SparkSpec {
       val problem = Harness.problemFromData(summary, in, Seq(1), Harness.pdwCost2)
       val (res, exec) = Harness.optimizeAndRun(spark, problem, in, methods)
       assert(res.plan.outputs.size == 1)
-      Harness.checkFinalOutput(exec, summary, in)
+      Harness.checkOutputs(exec, summary, in)
     }
   }
 
@@ -73,12 +73,7 @@ class OptimizerSpec extends SparkSpec {
       val problem = Harness.problemFromData(summary, in, Seq(0, 1), Harness.ivmCost2)
       val (res, exec) = Harness.optimizeAndRun(spark, problem, in, methods)
       assert(exec.outputs.size == 2)
-      // check the t0 output against batch over the t0 snapshot
-      val t0Tables = in.map { case (t, ds) => t -> ds.head }
-      repro.Oracle.assertEquivalent(
-        Delta.expand(exec.outputs.head._2), summary.toSql,
-        t0Tables.toSeq.map { case (t, df) => t -> df }: _*)
-      Harness.checkFinalOutput(exec, summary, in)
+      Harness.checkOutputs(exec, summary, in)
     }
   }
 
@@ -88,7 +83,7 @@ class OptimizerSpec extends SparkSpec {
       retractions = Set("sales"))
     for ((name, methods) <- allMethods) {
       val (_, exec) = Harness.optimizeAndRun(spark, problem, in, methods)
-      withClue(name) { Harness.checkFinalOutput(exec, summary, in) }
+      withClue(name) { Harness.checkOutputs(exec, summary, in) }
     }
   }
 
@@ -110,7 +105,7 @@ class OptimizerSpec extends SparkSpec {
     val problem = Harness.problemFromData(innerSummary, in, Seq(1), Harness.pdwCost2)
     for ((name, methods) <- allMethods) {
       val (_, exec) = Harness.optimizeAndRun(spark, problem, in, methods)
-      withClue(name) { Harness.checkFinalOutput(exec, innerSummary, in) }
+      withClue(name) { Harness.checkOutputs(exec, innerSummary, in) }
     }
   }
 
@@ -124,7 +119,7 @@ class OptimizerSpec extends SparkSpec {
       repro.core.cost.WeightedCost(Vector(0.25, 0.3, 1.0)))
     for ((name, methods) <- allMethods) {
       val (_, exec) = Harness.optimizeAndRun(spark, problem, in, methods)
-      withClue(name) { Harness.checkFinalOutput(exec, summary, in) }
+      withClue(name) { Harness.checkOutputs(exec, summary, in) }
     }
   }
 
@@ -133,7 +128,7 @@ class OptimizerSpec extends SparkSpec {
     val problem = Harness.problemFromData(salesStatus, in, Seq(1), Harness.pdwCost2)
     for ((name, methods) <- allMethods) {
       val (_, exec) = Harness.optimizeAndRun(spark, problem, in, methods)
-      withClue(name) { Harness.checkFinalOutput(exec, salesStatus, in) }
+      withClue(name) { Harness.checkOutputs(exec, salesStatus, in) }
     }
   }
 

@@ -48,7 +48,7 @@ class PlanSelectionSpec extends SparkSpec {
     val q = AggOp(shared, Seq("cat"), Seq(AggCall(SumF, Some(Col("m")), "tot")))
     val p = Harness.problemFromData(q, in, Seq(1), Harness.pdwCost2)
     val (res, exec) = Harness.optimizeAndRun(spark, p, in)
-    Harness.checkFinalOutput(exec, q, in)
+    Harness.checkOutputs(exec, q, in)
     // the Theorem-7 reduction must not change the achievable best cost class:
     val noThm7 = Tempura.optimize(p, Methods(), theorem7 = false)
     assert(math.abs(p.costFn.scalarize(noThm7.estCost) - p.costFn.scalarize(res.estCost)) <=
