@@ -13,15 +13,18 @@ import repro.core.tvr.Delta
 /** Shared helpers for optimizer end-to-end tests and benches. */
 object Harness {
 
-  /** Build an IQP problem with stats computed exactly from the input data. */
+  /** Build an IQP problem with stats computed exactly from the input data,
+    * one aggregate job per table. A table has retractions if its data has a
+    * negative multiplicity or it is named in `retractions`, which can add
+    * caution but never hide a retraction.
+    */
   def problemFromData(query: RelOp, inputs: Map[String, Vector[DataFrame]],
                       outputTimes: Seq[Int], costFn: CostFn,
                       retractions: Set[String] = Set.empty): IqpProblem = {
     val k = inputs.head._2.size
     val stats = inputs.map { case (t, deltas) =>
       val distinctCols = query.scans.find(_.table == t).get.schema
-      t -> TvrStats.fromData(deltas.map(Delta.attach(_).drop(Delta.MULT)), distinctCols,
-        hasRetractions = retractions.contains(t))
+      t -> TvrStats.fromData(deltas, distinctCols, hasRetractions = retractions.contains(t))
     }
     IqpProblem(k, query, outputTimes, stats, costFn)
   }

@@ -1,17 +1,20 @@
 package repro.core.exec
 
 import scala.collection.mutable
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.{DataFrame, SparkSession, classic}
+import org.apache.spark.sql.execution.CollectMetricsExec
+import org.apache.spark.sql.functions.{count, lit}
 import repro.core.algebra._
 import repro.core.cost.OpCost
 import repro.core.memo._
 import repro.core.opt._
 import repro.core.tvr.{Delta, DeltaOps}
 
-/** Runtime value: a delta-encoded relation, or a HOV view bundle (with the
-  * trigger work that built it). */
+/** Runtime value: a delta-encoded relation with the plan node that produced
+  * it (which keys its row count), or a HOV view bundle (with the trigger
+  * work that built it). */
 sealed trait RtVal
-final case class Rel(df: DataFrame, rows: Long) extends RtVal
+final case class Rel(df: DataFrame, node: (Int, Int)) extends RtVal
 final case class HovRt(leafCur: Vector[DataFrame],
                        views: Vector[Option[DataFrame]],
                        contribution: DataFrame,
@@ -34,7 +37,13 @@ final case class ExecReport(
     perTimeRows.zip(weights).map { case (c, w) => c * w }.sum
 }
 
-/** Interprets an [[IncrementalPlan]] over real per-time input deltas. */
+/** Interprets an [[IncrementalPlan]] over real per-time input deltas.
+  *
+  * Only the nodes in [[Executor.kept]] are persisted and counted, one job
+  * each; every other node stays lazy inside its one consumer's frame, and
+  * its row count is observed in the job that materializes that consumer.
+  * Work is added up at the end of each time step, once all its counts are in.
+  */
 final class Executor(spark: SparkSession, plan: IncrementalPlan,
                      inputs: Map[String, Vector[DataFrame]], numTimes: Int) {
   private val cache = mutable.HashMap[(Int, Int), RtVal]()
@@ -42,10 +51,37 @@ final class Executor(spark: SparkSession, plan: IncrementalPlan,
   private val measuredKeys = mutable.HashSet[(Int, Int)]()
   private val stateSizes = mutable.LinkedHashMap[(Int, Int), Double]()
   private val stateEntries = plan.states.map(s => (s.groupId, s.time) -> s).toMap
+  private val kept = Executor.kept(plan)
+  private val counts = mutable.HashMap[(Int, Int), Long]()
+  /** Lazy nodes by the name of their row-count observer. */
+  private val observed = mutable.HashMap[String, Rel]()
+  /** Work of the current time step, added in evaluation order at its end. */
+  private val pending = mutable.ArrayBuffer[() => Unit]()
 
-  private def mat(df: DataFrame): Rel = {
-    val d = df.persist()
-    Rel(d, d.count())
+  /** The relation of plan node `node`: persisted and counted if it is kept,
+    * otherwise lazy, with its row count observed under its own name. */
+  private def rel(node: (Int, Int), df: DataFrame): Rel =
+    if (kept(node)) {
+      val d = df.persist()
+      counts(node) = materialize(d)
+      Rel(d, node)
+    } else {
+      val name = s"rows${node._1}@${node._2}"
+      val r = Rel(df.observe(name, count(lit(1)).as("rows")), node)
+      observed(name) = r
+      r
+    }
+
+  /** Count the persisted frame `d` in one job. The lazy nodes it computed
+    * leave their row counts on the observers of its cached plan. */
+  private def materialize(d: DataFrame): Long = {
+    val n = d.count()
+    val cached = spark.asInstanceOf[classic.SparkSession].sharedState.cacheManager
+      .lookupCachedData(d.asInstanceOf[classic.Dataset[_]])
+      .getOrElse(throw new IllegalStateException("a persisted frame is not in the cache"))
+    val metrics = CollectMetricsExec.collect(cached.cachedRepresentation.cacheBuilder.cachedPlan)
+    for ((name, row) <- metrics; r <- observed.get(name)) counts(r.node) = row.getLong(0)
+    n
   }
 
   private def relOf(v: RtVal): DataFrame = v match {
@@ -53,7 +89,8 @@ final class Executor(spark: SparkSession, plan: IncrementalPlan,
     case h: HovRt   => h.contribution
   }
   private def rowsOf(v: RtVal): Double = v match {
-    case Rel(_, r) => r.toDouble
+    case Rel(_, node) => counts.getOrElse(node, throw new IllegalStateException(
+      s"no row count observed for plan node $node")).toDouble
     case h: HovRt  => h.stateRows
   }
 
@@ -67,11 +104,12 @@ final class Executor(spark: SparkSession, plan: IncrementalPlan,
     case LoadState(g, t, from) =>
       if (from > t) throw new IllegalStateException(s"plan error: state ($g,$from) loaded at t=$t")
       val v = cache.getOrElse((g, from), evalState(g, from))
-      addRows(t, (g, from), OpCost.stateWork(rowsOf(v)))
+      pending += (() => addRows(t, (g, from), OpCost.stateWork(rowsOf(v))))
       v
     case Compute(g, t, op, children) =>
       val cs = children.map(eval)
       def df(i: Int) = relOf(cs(i))
+      def mat(d: DataFrame): Rel = rel((g, t), d)
       val value: RtVal = op match {
         case MScanSnap(tb, ti) => mat(scanSnap(tb, ti))
         case MScanDelta(tb, t1, t2) => mat(scanDelta(tb, t1, t2))
@@ -142,13 +180,14 @@ final class Executor(spark: SparkSession, plan: IncrementalPlan,
           val lRows = leaves.map(_.count().toDouble).sum
           HovRt(leaves, views, null, vRows + lRows, vRows + lRows)
         case MHovStep(spec, _) =>
-          hovStep(spec, cs(0).asInstanceOf[HovRt], (1 until children.size).map(df).toVector)
+          hovStep(spec, cs(0).asInstanceOf[HovRt],
+            (1 until children.size).map(i => (df(i), rowsOf(cs(i)))).toVector)
         case MHovExtract(_) => mat(cs(0).asInstanceOf[HovRt].contribution)
       }
-      addRows(t, (g, t), value match {
-        case h: HovRt     => h.work
-        case Rel(_, rows) => OpCost.work(op, cs.map(rowsOf), rows.toDouble)
-      })
+      pending += (() => addRows(t, (g, t), value match {
+        case h: HovRt => h.work
+        case r: Rel   => OpCost.work(op, cs.map(rowsOf), rowsOf(r))
+      }))
       value
   })
 
@@ -178,9 +217,10 @@ final class Executor(spark: SparkSession, plan: IncrementalPlan,
 
   /** One HOV trigger round: apply each leaf's delta in order, using the
     * complement views for the contribution joins and updating the other
-    * views incrementally (DBToaster-style, §4.2 Eq. 5).
+    * views incrementally (DBToaster-style, §4.2 Eq. 5). Each delta comes
+    * with its row count.
     */
-  private def hovStep(spec: HovSpec, prev: HovRt, deltas: Vector[DataFrame]): HovRt = {
+  private def hovStep(spec: HovSpec, prev: HovRt, deltas: Vector[(DataFrame, Double)]): HovRt = {
     val n = spec.nLeaves
     val leafCols = spec.leafSchemas.flatten.map(_._1)
     var leaves = prev.leafCur
@@ -188,8 +228,7 @@ final class Executor(spark: SparkSession, plan: IncrementalPlan,
     var work = 0.0
     val contribs = mutable.ArrayBuffer[DataFrame]()
     for (i <- 0 until n) {
-      val di = deltas(i)
-      val dRows = di.count().toDouble
+      val (di, dRows) = deltas(i)
       work += dRows
       if (dRows > 0) {
         val contrib =
@@ -231,13 +270,51 @@ final class Executor(spark: SparkSession, plan: IncrementalPlan,
         stateSizes((st.groupId, st.time)) = rowsOf(v)
       }
       for (out <- plan.outputs if out.time == t) {
-        val v = eval(out.plan)
-        outputs += ((t, Delta.collapse(relOf(v)).persist()))
-        outputs.last._2.count()
+        val o = Delta.collapse(relOf(eval(out.plan))).persist()
+        materialize(o)
+        outputs += ((t, o))
       }
+      // adaptive execution can drop an observed subtree from the final plan
+      // when another input of its consumer turns out empty at run time; such
+      // a node is counted by a job of its own
+      for (r <- observed.values if !counts.contains(r.node)) counts(r.node) = r.df.count()
+      observed.clear()
+      pending.foreach(_())
+      pending.clear()
       wall(t) = (System.nanoTime() - start) / 1e6
     }
     ExecReport(rowsByTime.toVector, wall.toVector, stateSizes.values.sum,
       stateSizes.toVector, outputs.toVector)
+  }
+}
+
+object Executor {
+  /** The plan nodes an [[Executor]] persists and counts in a job of their
+    * own: state roots, nodes read by more than one consumer (over all time
+    * steps), inputs of HOV init and step (the trigger branches on their row
+    * counts). An output counts as one more reader of its root. The plan is
+    * walked in the executor's evaluation order, each node once.
+    */
+  def kept(plan: IncrementalPlan): Set[(Int, Int)] = {
+    def key(p: PlanNode) = (p.groupId, p.time)
+    val entries = plan.states.map(s => (s.groupId, s.time) -> s.plan).toMap
+    val reads = mutable.HashMap[(Int, Int), Int]().withDefaultValue(0)
+    val hovInputs = mutable.HashSet[(Int, Int)]()
+    val seen = mutable.HashSet[(Int, Int)]()
+    def walk(p: PlanNode): Unit = if (seen.add(key(p))) p match {
+      case LoadState(g, _, from) => entries.get((g, from)).foreach(walk)
+      case Compute(_, _, op, cs) =>
+        cs.foreach(c => reads(key(c)) += 1)
+        op match {
+          case _: MHovInit | _: MHovStep => hovInputs ++= cs.map(key)
+          case _                         =>
+        }
+        cs.foreach(walk)
+    }
+    val roots = (plan.states.map(s => s.time -> s.plan) ++ plan.outputs.map(o => o.time -> o.plan))
+      .sortBy(_._1).map(_._2)
+    roots.foreach(walk)
+    plan.outputs.foreach(o => reads(key(o.plan)) += 1) // the collapsed output reads its root
+    plan.states.map(s => key(s.plan)).toSet ++ reads.collect { case (k, n) if n > 1 => k } ++ hovInputs
   }
 }

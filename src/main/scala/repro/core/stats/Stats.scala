@@ -3,6 +3,7 @@ package repro.core.stats
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import repro.core.algebra._
+import repro.core.tvr.Delta
 
 /** Cardinality statistics of one relation (a snapshot or a delta). */
 final case class RelStats(rows: Double, distinct: Map[String, Double]) {
@@ -39,18 +40,28 @@ final case class TvrStats(
 }
 
 object TvrStats {
-  /** Exact statistics from real per-time delta DataFrames (counts + distinct
-    * counts of key-ish columns). Used by benches so the optimizer plans with
-    * accurate estimates; the sensitivity experiment perturbs these.
+  /** Exact statistics from real per-time delta DataFrames, in one aggregate
+    * job: the deltas are tagged with their index and unioned, and a single
+    * `agg` counts the rows of each delta, the distinct values of each of
+    * `distinctCols` over all deltas, and whether any row has a negative
+    * [[Delta.MULT]] (a delta without that column has none). The table has
+    * retractions if `hasRetractions` says so or the data does. Used by
+    * benches so the optimizer plans with accurate estimates; the sensitivity
+    * experiment perturbs these.
     */
   def fromData(deltas: Vector[DataFrame], distinctCols: Seq[String],
                hasRetractions: Boolean = false): TvrStats = {
-    val rows = deltas.map(_.count().toDouble)
-    val full = if (deltas.size == 1) deltas.head else deltas.reduce(_ unionByName _)
-    val dis = distinctCols.map { c =>
-      c -> full.agg(countDistinct(col(c)).as("d")).collect()(0).getLong(0).toDouble
-    }.toMap
-    TvrStats(rows, dis, hasRetractions)
+    val tag = "__delta"
+    val all = deltas.zipWithIndex.map { case (d, i) => Delta.attach(d).withColumn(tag, lit(i)) }
+      .reduce(_ unionByName _)
+    val aggs = deltas.indices.map(i => coalesce(sum(when(col(tag) === i, 1L)), lit(0L))) ++
+      distinctCols.map(c => countDistinct(col(c))) :+
+      coalesce(max(col(Delta.MULT) < 0), lit(false))
+    val row = all.agg(aggs.head, aggs.tail: _*).collect()(0)
+    val n = deltas.size
+    TvrStats(deltas.indices.map(row.getLong(_).toDouble).toVector,
+      distinctCols.indices.map(j => distinctCols(j) -> row.getLong(n + j).toDouble).toMap,
+      hasRetractions || row.getBoolean(n + distinctCols.size))
   }
 }
 

@@ -1,5 +1,7 @@
 package repro
 
+import java.util.concurrent.atomic.AtomicInteger
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import org.apache.spark.sql.SparkSession
 import org.scalatest.BeforeAndAfterAll
 import org.scalatest.funsuite.AnyFunSuite
@@ -37,5 +39,35 @@ object SparkSpec {
       s"defaultParallelism=${s.sparkContext.defaultParallelism}"
     )
     s
+  }
+
+  /** Run `body` and count the Spark jobs it starts. Adaptive execution is
+    * off meanwhile: it would submit every shuffle stage of a query as a job
+    * of its own, so the count would follow the physical plan's shape.
+    */
+  def countJobs[A](spark: SparkSession)(body: => A): (A, Int) = {
+    val sc = spark.sparkContext
+    val key = "repro.test.countJobs"
+    val id = java.util.UUID.randomUUID().toString
+    val jobs = new AtomicInteger()
+    val listener = new SparkListener {
+      override def onJobStart(e: SparkListenerJobStart): Unit =
+        if (Option(e.properties).exists(_.getProperty(key) == id)) jobs.incrementAndGet()
+    }
+    val aqe = spark.conf.get("spark.sql.adaptive.enabled")
+    sc.addSparkListener(listener)
+    sc.setLocalProperty(key, id)
+    spark.conf.set("spark.sql.adaptive.enabled", "false")
+    try {
+      val a = body
+      // wait until the listener has seen every event posted so far
+      val bus = sc.getClass.getMethod("listenerBus").invoke(sc)
+      bus.getClass.getMethod("waitUntilEmpty", classOf[Long]).invoke(bus, Long.box(30000L))
+      (a, jobs.get)
+    } finally {
+      spark.conf.set("spark.sql.adaptive.enabled", aqe)
+      sc.setLocalProperty(key, null)
+      sc.removeSparkListener(listener)
+    }
   }
 }

@@ -2,7 +2,10 @@ package repro.core
 
 import repro.SparkSpec
 import repro.core.cost.VectorCost
+import repro.core.exec.Executor
+import repro.core.opt.{Compute, Tempura}
 import repro.core.rules.Methods
+import repro.core.tvr.Delta
 import repro.queries.{LiteQueries, TpcdsLite}
 import repro.queries.TpcdsLite._
 
@@ -82,5 +85,26 @@ class IncrementalLiteSpec extends SparkSpec {
     test(s"$q / delta-RS / Tempura under IVM, |T|=3 (outputs at every run)") {
       runCase(q, DeltaRS, "Tempura", Methods.full, ivm = true, k = 3)
     }
+  }
+
+  // the executor persists and counts only the nodes it keeps; every other
+  // node's row count is observed inside its consumer's job
+  test("q93 / delta-big / Tempura starts one Spark job per kept node and output") {
+    val q = LiteQueries.byName("q93")
+    val in = TpcdsLite.inputsFor(spark, q, DeltaBig, SF, 2)
+    val problem = Harness.problemFromData(q, in, Seq(1), Harness.pdwCost2)
+    val plan = Tempura.optimize(problem, Methods.full).plan
+    val executor = new Executor(spark, plan, in.view.mapValues(_.map(Delta.attach)).toMap, 2)
+    val (exec, jobs) = SparkSpec.countJobs(spark)(executor.run())
+    val nodes = (plan.states.map(_.plan) ++ plan.outputs.map(_.plan)).flatMap(all).distinct
+    val kept = nodes.filter(Executor.kept(plan))
+    assert(jobs == kept.size + plan.outputs.size)
+    assert(jobs == 4)
+    assert(golden.get("q93/delta-big/Tempura/w/T=2").contains(exec.perTimeRows.mkString(",")))
+  }
+
+  private def all(p: repro.core.opt.PlanNode): Seq[(Int, Int)] = p match {
+    case Compute(g, t, _, cs) => (g, t) +: cs.flatMap(all)
+    case _                    => Nil // a loaded state was counted where it was saved
   }
 }

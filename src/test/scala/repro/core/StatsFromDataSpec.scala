@@ -1,0 +1,64 @@
+package repro.core
+
+import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.functions.{col, countDistinct}
+import repro.SparkSpec
+import repro.core.cost.VectorCost
+import repro.core.stats.TvrStats
+import repro.core.tvr.Delta
+import repro.queries.{LiteQueries, TpcdsLite}
+
+/** [[TvrStats.fromData]] against a per-column reference, and its cost in
+  * Spark jobs: one per table.
+  */
+class StatsFromDataSpec extends SparkSpec {
+  import spark.implicits._
+
+  /** One count per delta, one distinct count per column, one retraction check. */
+  private def reference(deltas: Vector[DataFrame], cols: Seq[String]): TvrStats = {
+    val all = deltas.map(Delta.attach).reduce(_ unionByName _)
+    TvrStats(deltas.map(_.count().toDouble),
+      cols.map(c => c -> all.agg(countDistinct(col(c))).collect()(0).getLong(0).toDouble).toMap,
+      all.filter(col(Delta.MULT) < 0).count() > 0)
+  }
+
+  private def oneJob(name: String, deltas: Vector[DataFrame], cols: Seq[String]): Unit =
+    test(s"one aggregate job equals the per-column reference: $name") {
+      val (stats, jobs) = SparkSpec.countJobs(spark)(TvrStats.fromData(deltas, cols))
+      assert(stats == reference(deltas, cols))
+      assert(jobs == 1)
+    }
+
+  private def rows(xs: (Option[Long], Option[String])*): DataFrame = xs.toDF("k", "s")
+  private val retracting =
+    Delta.attach(rows(Some(1L) -> Some("a"), Some(2L) -> Some("b")))
+      .unionByName(Delta.negate(rows(Some(1L) -> Some("a"))))
+
+  oneJob("nulls and duplicate rows", Vector(
+    rows(Some(1L) -> Some("a"), Some(1L) -> Some("a"), None -> Some("b"), Some(2L) -> None),
+    rows(None -> None, Some(3L) -> Some("a"))), Seq("k", "s"))
+  oneJob("an empty delta", Vector(rows(Some(1L) -> Some("a")), rows(), rows(Some(2L) -> Some("c"))),
+    Seq("k", "s"))
+  oneJob("a single delta", Vector(rows(Some(5L) -> Some("x"), Some(6L) -> Some("x"))), Seq("k", "s"))
+  oneJob("negative multiplicities", Vector(rows(Some(1L) -> Some("a")), retracting), Seq("k", "s"))
+  oneJob("no deltas with rows", Vector(rows(), rows()), Seq("k"))
+
+  test("retractions are read off the data; the caller's flag only adds them") {
+    val r = TvrStats.fromData(Vector(retracting), Seq("k"))
+    assert(r.hasRetractions)
+    val plain = Vector(rows(Some(1L) -> Some("a")))
+    assert(!TvrStats.fromData(plain, Seq("k")).hasRetractions)
+    assert(TvrStats.fromData(plain, Seq("k"), hasRetractions = true).hasRetractions)
+  }
+
+  test("problemFromData: one job per table, retractions found without the flag") {
+    val q = LiteQueries.byName("q93")
+    val in = TpcdsLite.inputsFor(spark, q, TpcdsLite.DeltaRS, 0.001)
+    val (problem, jobs) = SparkSpec.countJobs(spark)(
+      Harness.problemFromData(q, in, Seq(0, 1), VectorCost(2)))
+    assert(jobs == in.size)
+    for ((t, s) <- problem.tableStats)
+      withClue(t) { assert(s.hasRetractions == TpcdsLite.DeltaRS.retractTables.contains(t)) }
+    assert(problem.tableStats.values.exists(_.hasRetractions))
+  }
+}
