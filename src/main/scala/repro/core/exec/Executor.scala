@@ -43,14 +43,36 @@ final case class ExecReport(
   * each; every other node stays lazy inside its one consumer's frame, and
   * its row count is observed in the job that materializes that consumer.
   * Work is added up at the end of each time step, once all its counts are in.
+  *
+  * When the session has one shuffle partition, the inputs are small and
+  * each job's cost is fixed per stage and per generated class, not per row.
+  * Two things then cut that cost:
+  *  - The frames Spark plans over are coalesced to one partition: each
+  *    input delta once, here, and each kept node and collapsed output before
+  *    it is persisted. `coalesce(1)` is a narrow dependency whose
+  *    `SinglePartition` output satisfies every clustered or all-tuples
+  *    distribution, so joins and aggregates over those frames need no hash
+  *    exchange, and each job has fewer stages.
+  *  - [[run]] turns whole-stage code generation off while it runs: compiling
+  *    a Java class per stage takes longer than the compiled code saves on a
+  *    few thousand rows.
+  * Rows, row counts, plans and job counts are the same either way; with more
+  * shuffle partitions neither is done.
   */
 final class Executor(spark: SparkSession, plan: IncrementalPlan,
-                     inputs: Map[String, Vector[DataFrame]], numTimes: Int) {
+                     deltas: Map[String, Vector[DataFrame]], numTimes: Int) {
+  plan.validate(outputTimes = Nil) // every load resolves, before any job runs
+  private val onePartition =
+    spark.asInstanceOf[classic.SparkSession].sessionState.conf.numShufflePartitions == 1
+  private def single(df: DataFrame): DataFrame = if (onePartition) df.coalesce(1) else df
+  private val inputs = deltas.map { case (table, ds) => table -> ds.map(single) }
   private val cache = mutable.HashMap[(Int, Int), RtVal]()
   private val rowsByTime = Array.fill(numTimes)(0.0)
   private val measuredKeys = mutable.HashSet[(Int, Int)]()
   private val stateSizes = mutable.LinkedHashMap[(Int, Int), Double]()
-  private val stateEntries = plan.states.map(s => (s.groupId, s.time) -> s).toMap
+  /** Saved-state plans, for a load evaluated before [[run]] reached its
+    * state (one listed after a consumer at the same time). */
+  private val stateEntries = plan.states.map(s => (s.groupId, s.time) -> s.plan).toMap
   private val kept = Executor.kept(plan)
   private val counts = mutable.HashMap[(Int, Int), Long]()
   /** Lazy nodes by the name of their row-count observer. */
@@ -62,7 +84,7 @@ final class Executor(spark: SparkSession, plan: IncrementalPlan,
     * otherwise lazy, with its row count observed under its own name. */
   private def rel(node: (Int, Int), df: DataFrame): Rel =
     if (kept(node)) {
-      val d = df.persist()
+      val d = single(df).persist()
       counts(node) = materialize(d)
       Rel(d, node)
     } else {
@@ -102,8 +124,7 @@ final class Executor(spark: SparkSession, plan: IncrementalPlan,
 
   private def eval(p: PlanNode): RtVal = cache.getOrElseUpdate((p.groupId, p.time), p match {
     case LoadState(g, t, from) =>
-      if (from > t) throw new IllegalStateException(s"plan error: state ($g,$from) loaded at t=$t")
-      val v = cache.getOrElse((g, from), evalState(g, from))
+      val v = cache.getOrElse((g, from), eval(stateEntries((g, from))))
       pending += (() => addRows(t, (g, from), OpCost.stateWork(rowsOf(v))))
       v
     case Compute(g, t, op, children) =>
@@ -191,12 +212,6 @@ final class Executor(spark: SparkSession, plan: IncrementalPlan,
       value
   })
 
-  /** Evaluate a state a load needs before [[run]] reached it: one listed
-    * after a consumer at the same time. */
-  private def evalState(g: Int, t: Int): RtVal =
-    eval(stateEntries.getOrElse((g, t),
-      throw new IllegalStateException(s"plan error: no state entry ($g,$t)")).plan)
-
   private def memoLeftCols(rCols: Seq[(String, ColType)], qOld: DataFrame) = {
     val rNames = rCols.map(_._1).toSet
     qOld.columns.filterNot(c => rNames.contains(c) || c == Delta.MULT).toSeq.map(qOld(_))
@@ -259,8 +274,23 @@ final class Executor(spark: SparkSession, plan: IncrementalPlan,
     HovRt(leaves, views, contribution.persist(), vRows + lRows, work)
   }
 
-  /** Run the plan across all time steps. */
-  def run(): ExecReport = {
+  /** The persisted frame of kept plan node `node`, once [[run]] evaluated it. */
+  def keptFrame(node: (Int, Int)): Option[DataFrame] =
+    cache.get(node).collect { case Rel(df, n) if kept(n) => df }
+
+  /** Run the plan across all time steps. With one shuffle partition its
+    * jobs run without whole-stage code generation, and the session's setting
+    * is restored afterwards. */
+  def run(): ExecReport =
+    if (!onePartition) runSteps()
+    else {
+      val wholeStage = "spark.sql.codegen.wholeStage"
+      val saved = spark.conf.get(wholeStage)
+      spark.conf.set(wholeStage, false)
+      try runSteps() finally spark.conf.set(wholeStage, saved)
+    }
+
+  private def runSteps(): ExecReport = {
     val wall = Array.fill(numTimes)(0.0)
     val outputs = mutable.ArrayBuffer[(Int, DataFrame)]()
     for (t <- 0 until numTimes) {
@@ -270,7 +300,7 @@ final class Executor(spark: SparkSession, plan: IncrementalPlan,
         stateSizes((st.groupId, st.time)) = rowsOf(v)
       }
       for (out <- plan.outputs if out.time == t) {
-        val o = Delta.collapse(relOf(eval(out.plan))).persist()
+        val o = single(Delta.collapse(relOf(eval(out.plan)))).persist()
         materialize(o)
         outputs += ((t, o))
       }

@@ -24,7 +24,39 @@ final case class IncrementalPlan(
     states: Vector[StateEntry],
     outputs: Vector[OutputEntry],
     estCost: TCost,
-    estStateRows: Double)
+    estStateRows: Double) {
+
+  /** Check the plan before anything runs it: every time in `outputTimes`
+    * has an output entry, every [[LoadState]] names a state entry saved no
+    * later than it is loaded, and no state reaches itself through loads (a
+    * cycle can only form among loads at one time, as every other load reads
+    * an earlier time). Throws [[IllegalStateException]] naming the
+    * offending node.
+    */
+  def validate(outputTimes: Seq[Int]): Unit = {
+    def fail(msg: String) = throw new IllegalStateException(s"plan error: $msg")
+    for (t <- outputTimes if !outputs.exists(_.time == t)) fail(s"no output entry at t=$t")
+    val entries = states.map(s => (s.groupId, s.time) -> s.plan).toMap
+    val done = mutable.HashSet[(Int, Int)]()
+    val onPath = mutable.HashSet[(Int, Int)]()
+    def enter(key: (Int, Int)): Unit = if (!done(key)) {
+      onPath += key
+      visit(entries(key))
+      onPath -= key
+      done += key
+    }
+    def visit(p: PlanNode): Unit = p match {
+      case Compute(_, _, _, cs) => cs.foreach(visit)
+      case l @ LoadState(g, t, from) =>
+        if (from > t) fail(s"$l loads a state saved after t=$t")
+        if (!entries.contains((g, from))) fail(s"$l names no state entry ($g,$from)")
+        if (onPath((g, from))) fail(s"$l closes a cycle of loads at t=$t")
+        enter((g, from))
+    }
+    states.foreach(s => enter((s.groupId, s.time)))
+    outputs.foreach(o => visit(o.plan))
+  }
+}
 
 /** A solved DP: per (group, time) the best temporal cost row and the choice
   * that produced it, in flat arrays (see [[Dp.solve]]).

@@ -42,6 +42,7 @@ object Tempura {
     val dp = new Dp(memo, problem)
     val plan = Mqo.select(dp, exploration.rootTvr, theorem7)
     val smoNanos = System.nanoTime() - smoStart
+    plan.validate(problem.outputTimes)
 
     OptResult(plan, plan.estCost, exploration.exploreNanos, smoNanos, exploration,
       memo.groups.size, memo.totalNodes, dp.solves, dp.maxRounds)

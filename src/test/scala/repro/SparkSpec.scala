@@ -54,20 +54,30 @@ object SparkSpec {
       override def onJobStart(e: SparkListenerJobStart): Unit =
         if (Option(e.properties).exists(_.getProperty(key) == id)) jobs.incrementAndGet()
     }
-    val aqe = spark.conf.get("spark.sql.adaptive.enabled")
     sc.addSparkListener(listener)
     sc.setLocalProperty(key, id)
-    spark.conf.set("spark.sql.adaptive.enabled", "false")
-    try {
+    try withConf(spark)("spark.sql.adaptive.enabled" -> "false") {
       val a = body
       // wait until the listener has seen every event posted so far
       val bus = sc.getClass.getMethod("listenerBus").invoke(sc)
       bus.getClass.getMethod("waitUntilEmpty", classOf[Long]).invoke(bus, Long.box(30000L))
       (a, jobs.get)
     } finally {
-      spark.conf.set("spark.sql.adaptive.enabled", aqe)
       sc.setLocalProperty(key, null)
       sc.removeSparkListener(listener)
+    }
+  }
+
+  /** Run `body` with the runtime SQL confs `pairs` set, then restore each
+    * one's earlier value (or unset it), also when `body` throws.
+    */
+  def withConf[A](spark: SparkSession)(pairs: (String, String)*)(body: => A): A = {
+    val before = pairs.map { case (k, _) => k -> spark.conf.getOption(k) }
+    pairs.foreach { case (k, v) => spark.conf.set(k, v) }
+    try body
+    finally before.foreach {
+      case (k, Some(v)) => spark.conf.set(k, v)
+      case (k, None)    => spark.conf.unset(k)
     }
   }
 }
