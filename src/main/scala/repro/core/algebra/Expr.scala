@@ -104,7 +104,8 @@ object Expr {
 /** Supported aggregate functions. MIN/MAX are batch-only: they are not
   * incrementally maintainable under retraction, and the TVR-generating
   * aggregate rule refuses to fire on them (mirroring the paper's
-  * "Iterate/Merge degenerate to no-op" remark for holistic aggregates).
+  * "Iterate/Merge degenerate to no-op" remark for holistic aggregates); a
+  * snapshot of such an aggregate is recomputed from its input's snapshot.
   */
 sealed trait AggFn { def sqlName: String }
 case object SumF       extends AggFn { val sqlName = "SUM" }

@@ -98,7 +98,7 @@ object OpCost {
       case MFilter(_) | MProject(_) | MPadProject(_) | MFinalAgg(_, _) => in(0)
       case MUnionAll(_) => in.sum
       case MJoin(_, _, _, _) | MDiffMult() => plusOut(in(0) + in(1))
-      case MPartialAgg(_, _) => plusOut(in(0))
+      case MPartialAgg(_, _) | MSnapAgg(_, _) => plusOut(in(0))
       // children [lOld, dL, rOld, dR]: the right-side resident state is
       // updated in place with dR and probed
       case MDeltaJoin(_, _, _, _) =>
@@ -165,7 +165,7 @@ object OpCost {
           case MJoin(_, _, _, _) => Res(cpu, 0, math.min(in(0), in(1)), in(0) + in(1))
           // full scans of both snapshots — the expensive alternative PNA prunes
           case MDiffMult() => Res(cpu, 0, 0, in(0) + in(1))
-          case MPartialAgg(_, _) => Res(cpu, 0, out.rows, in(0))
+          case MPartialAgg(_, _) | MSnapAgg(_, _) => Res(cpu, 0, out.rows, in(0))
           case MMergeState(_, _) => Res(cpu, 0, out.rows, 0)
           case _ => Res.cpu(cpu)
         }

@@ -59,6 +59,9 @@ final case class MPartialAgg(keys: Seq[String], aggs: Seq[AggCall]) extends MOp
 final case class MMergeState(keys: Seq[String], aggs: Seq[AggCall]) extends MOp
 /** Final; child [state] → mult-perspective snapshot. */
 final case class MFinalAgg(keys: Seq[String], aggs: Seq[AggCall])   extends MOp
+/** Aggregate of a snapshot in one step, for an aggregate with a MIN or MAX
+  * call (no incremental state); child [mult snap] → mult snap. */
+final case class MSnapAgg(keys: Seq[String], aggs: Seq[AggCall])    extends MOp
 /** Null-padding projector (IM-2's Q^N completion). */
 final case class MPadProject(cols: Seq[(String, ColType)])          extends MOp
 /** OJV per-table-update delta of a left-outer join.

@@ -102,6 +102,7 @@ final class RuleEngine(problem: IqpProblem, methods: Methods, flags: OptFlags) {
     keys.map(c => c -> km(c)) ++ aggs.map { a =>
       a.name -> (a.fn match {
         case CountF | CountStarF => TLong
+        case MinF | MaxF         => a.arg.collect { case Col(c) => km(c) }.getOrElse(TDouble)
         case _                   => TDouble
       })
     }
@@ -124,6 +125,7 @@ final class RuleEngine(problem: IqpProblem, methods: Methods, flags: OptFlags) {
       case MMergeDelta() => Estimator.unionAll(Seq(cs(0), cs(1)))
       case MDiffMult()   => RelStats(math.max(cs(0).rows * 0.1, cs(0).rows - cs(1).rows), cs(0).distinct)
       case MPartialAgg(keys, _) => Estimator.agg(cs(0), keys)
+      case MSnapAgg(keys, _) => Estimator.agg(cs(0), keys)
       case MMergeState(_, _) =>
         RelStats(math.max(cs(0).rows, cs(1).rows) + 0.1 * math.min(cs(0).rows, cs(1).rows),
           cs(0).distinct)
@@ -179,6 +181,7 @@ final class RuleEngine(problem: IqpProblem, methods: Methods, flags: OptFlags) {
       case MPartialAgg(keys, aggs) => stateSchemaCols(keys, aggs, cg(0))
       case MMergeState(_, _)       => cg(0)
       case MFinalAgg(keys, aggs)   => aggOutCols(keys, aggs, cg(0))
+      case MSnapAgg(keys, aggs)    => aggOutCols(keys, aggs, cg(0))
       case MPadProject(cols)       => cg(0) ++ cols
       case MOjvDelta(_, _, rCols)  => cg(0) ++ rCols
       case MHovInit(_) | MHovStep(_, _) => Seq("__aux" -> TLong)
@@ -333,8 +336,11 @@ final class RuleEngine(problem: IqpProblem, methods: Methods, flags: OptFlags) {
           case UnionAllOp(_)    => registerAs(id, Snap(ti), MUnionAll(cs.size), cs)
           case JoinOp(_, r, kd, lk, rk) =>
             registerAs(id, Snap(ti), MJoin(kd, lk, rk, rightColsOf(id)), cs)
-          case AggOp(_, keys, aggs) =>
+          case AggOp(_, keys, aggs) if aggs.forall(_.incrementable) =>
             registerAs(id, Snap(ti, StateP), MPartialAgg(keys, aggs), cs)
+          // MIN/MAX keep no state: such an aggregate is recomputed at
+          // every snapshot it is asked for
+          case AggOp(_, keys, aggs) => registerAs(id, Snap(ti), MSnapAgg(keys, aggs), cs)
           case _: Scan => ()
         }
         markDone("snap", id, ti, ti)

@@ -156,57 +156,77 @@ object DeltaOps {
     keys ++ aggs.flatMap(stateCols) :+ "__gcnt"
 
   /** Initialize+Iterate: fold a delta-encoded input into per-group states. */
-  def partialAgg(df: DataFrame, keys: Seq[String], aggs: Seq[AggCall]): DataFrame = {
-    val d = attach(df)
-    val m = col(MULT)
-    val cols: Seq[Column] = aggs.flatMap { a =>
-      a.fn match {
-        case SumF | AvgF =>
-          val arg = a.arg.get.toColumn
-          Seq(
-            sum(when(arg.isNotNull, arg * m).otherwise(lit(0.0))).as(s"${a.name}__sum"),
-            sum(when(arg.isNotNull, m).otherwise(lit(0L))).as(s"${a.name}__nn"))
-        case CountF =>
-          val arg = a.arg.get.toColumn
-          Seq(sum(when(arg.isNotNull, m).otherwise(lit(0L))).as(s"${a.name}__cnt"))
-        case CountStarF =>
-          Seq(sum(m).as(s"${a.name}__cnt"))
-        case MinF | MaxF =>
-          throw new IllegalArgumentException(s"${a.fn} is not incrementally maintainable")
-      }
-    } :+ sum(m).as("__gcnt")
-    if (keys.isEmpty) d.agg(cols.head, cols.tail: _*)
-    else d.groupBy(keys.map(col): _*).agg(cols.head, cols.tail: _*)
-  }
+  def partialAgg(df: DataFrame, keys: Seq[String], aggs: Seq[AggCall]): DataFrame =
+    groupAgg(attach(df), keys, aggs.flatMap(stateAggs) :+ sum(MULT).as("__gcnt"))
 
   /** The `+γ` merge operator: combine aggregate states with matching keys. */
   def mergeStates(states: Seq[DataFrame], keys: Seq[String], aggs: Seq[AggCall]): DataFrame = {
     val u = states.reduce(_ unionByName _)
     val sCols = (aggs.flatMap(stateCols) :+ "__gcnt").map(c => sum(c).as(c))
-    val merged =
-      if (keys.isEmpty) u.agg(sCols.head, sCols.tail: _*)
-      else u.groupBy(keys.map(col): _*).agg(sCols.head, sCols.tail: _*)
-    merged.filter(col("__gcnt") =!= 0L)
+    groupAgg(u, keys, sCols).filter(col("__gcnt") =!= 0L)
   }
 
   /** Final: convert an aggregate state into the multiplicity-perspective
     * snapshot (also filters out empty groups — the paper's footnote 1).
     */
-  def finalAgg(state: DataFrame, keys: Seq[String], aggs: Seq[AggCall]): DataFrame = {
-    val live = state.filter(col("__gcnt") > 0L)
-    val outCols: Seq[Column] = keys.map(col) ++ aggs.map { a =>
+  def finalAgg(state: DataFrame, keys: Seq[String], aggs: Seq[AggCall]): DataFrame =
+    state.filter(col("__gcnt") > 0L)
+      .select(keys.map(col) ++ aggs.map(a => finalCol(a).as(a.name)) :+ lit(1L).as(MULT): _*)
+
+  /** Aggregate a snapshot in one step, for an aggregate with a call that is
+    * not incrementable. SUM, COUNT and AVG weigh each row by its
+    * multiplicity, as [[partialAgg]] followed by [[finalAgg]] do; MIN and
+    * MAX read the rows with a positive multiplicity. Empty groups are
+    * dropped, as in [[finalAgg]].
+    */
+  def snapshotAgg(df: DataFrame, keys: Seq[String], aggs: Seq[AggCall]): DataFrame = {
+    val m = col(MULT)
+    val cols = aggs.flatMap { a =>
       a.fn match {
-        case SumF =>
-          when(col(s"${a.name}__nn") > 0L, col(s"${a.name}__sum")).otherwise(lit(null)).as(a.name)
-        case AvgF =>
-          when(col(s"${a.name}__nn") > 0L, col(s"${a.name}__sum") / col(s"${a.name}__nn"))
-            .otherwise(lit(null)).as(a.name)
-        case CountF | CountStarF => col(s"${a.name}__cnt").as(a.name)
-        case MinF | MaxF =>
-          throw new IllegalArgumentException(s"${a.fn} is not incrementally maintainable")
+        case MinF => Seq(min(when(m > 0L, a.arg.get.toColumn)).as(a.name))
+        case MaxF => Seq(max(when(m > 0L, a.arg.get.toColumn)).as(a.name))
+        case _    => stateAggs(a)
       }
+    } :+ sum(m).as("__gcnt")
+    groupAgg(attach(df), keys, cols).filter(col("__gcnt") > 0L)
+      .select(keys.map(col) ++ aggs.map { a =>
+        (if (a.incrementable) finalCol(a) else col(a.name)).as(a.name)
+      } :+ lit(1L).as(MULT): _*)
+  }
+
+  private def groupAgg(df: DataFrame, keys: Seq[String], cols: Seq[Column]): DataFrame =
+    if (keys.isEmpty) df.agg(cols.head, cols.tail: _*)
+    else df.groupBy(keys.map(col): _*).agg(cols.head, cols.tail: _*)
+
+  /** The [[stateCols]] of one call over multiplicity-weighted rows. */
+  private def stateAggs(a: AggCall): Seq[Column] = {
+    val m = col(MULT)
+    a.fn match {
+      case SumF | AvgF =>
+        val arg = a.arg.get.toColumn
+        Seq(
+          sum(when(arg.isNotNull, arg * m).otherwise(lit(0.0))).as(s"${a.name}__sum"),
+          sum(when(arg.isNotNull, m).otherwise(lit(0L))).as(s"${a.name}__nn"))
+      case CountF =>
+        val arg = a.arg.get.toColumn
+        Seq(sum(when(arg.isNotNull, m).otherwise(lit(0L))).as(s"${a.name}__cnt"))
+      case CountStarF =>
+        Seq(sum(m).as(s"${a.name}__cnt"))
+      case MinF | MaxF =>
+        throw new IllegalArgumentException(s"${a.fn} is not incrementally maintainable")
     }
-    live.select(outCols :+ lit(1L).as(MULT): _*)
+  }
+
+  /** The value of one call, read off its [[stateCols]]. */
+  private def finalCol(a: AggCall): Column = a.fn match {
+    case SumF =>
+      when(col(s"${a.name}__nn") > 0L, col(s"${a.name}__sum")).otherwise(lit(null))
+    case AvgF =>
+      when(col(s"${a.name}__nn") > 0L, col(s"${a.name}__sum") / col(s"${a.name}__nn"))
+        .otherwise(lit(null))
+    case CountF | CountStarF => col(s"${a.name}__cnt")
+    case MinF | MaxF =>
+      throw new IllegalArgumentException(s"${a.fn} is not incrementally maintainable")
   }
 
   /** Filter a delta-encoded relation (linear rule: Δσ(R) = σ(ΔR)). */

@@ -5,6 +5,7 @@ import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import org.apache.spark.sql.SparkSession
 import org.scalatest.BeforeAndAfterAll
 import org.scalatest.funsuite.AnyFunSuite
+import repro.core.exec.Executor
 
 /** Base for every test: one local-mode SparkSession for the whole run.
   *
@@ -68,16 +69,8 @@ object SparkSpec {
     }
   }
 
-  /** Run `body` with the runtime SQL confs `pairs` set, then restore each
-    * one's earlier value (or unset it), also when `body` throws.
-    */
-  def withConf[A](spark: SparkSession)(pairs: (String, String)*)(body: => A): A = {
-    val before = pairs.map { case (k, _) => k -> spark.conf.getOption(k) }
-    pairs.foreach { case (k, v) => spark.conf.set(k, v) }
-    try body
-    finally before.foreach {
-      case (k, Some(v)) => spark.conf.set(k, v)
-      case (k, None)    => spark.conf.unset(k)
-    }
-  }
+  /** Run `body` with the runtime SQL confs `pairs` set, restored afterwards
+    * ([[Executor.withConf]]). */
+  def withConf[A](spark: SparkSession)(pairs: (String, String)*)(body: => A): A =
+    Executor.withConf(spark)(pairs: _*)(body)
 }

@@ -3,8 +3,9 @@ package repro.core
 import org.apache.spark.sql.{DataFrame, classic}
 import org.apache.spark.sql.execution.{SparkPlan, UnionExec, WholeStageCodegenExec}
 import org.apache.spark.sql.execution.exchange.ShuffleExchangeExec
+import org.apache.spark.metrics.source.CodegenMetrics
 import repro.SparkSpec
-import repro.core.algebra.RelOp
+import repro.core.algebra._
 import repro.core.cost.VectorCost
 import repro.core.exec.{ExecReport, Executor}
 import repro.core.opt.{Compute, IncrementalPlan, PlanNode, Tempura}
@@ -40,12 +41,22 @@ class IncrementalLiteSpec extends SparkSpec {
   private case class Case(key: String, query: RelOp, inputs: Map[String, Vector[DataFrame]],
                           outTimes: Seq[Int], plan: IncrementalPlan, executor: Executor)
 
+  /** q93 with a MIN or a MAX call beside incrementable ones: an aggregate
+    * with no incremental state. */
+  private val minMaxQueries: Map[String, RelOp] = {
+    val AggOp(in, keys, Seq(net)) = LiteQueries.q93: @unchecked
+    val act = Some(Col("act"))
+    Map(
+      "q93-min" -> AggOp(in, keys, Seq(AggCall(MinF, act, "lo_paid"), net, AggCall(CountStarF, None, "n"))),
+      "q93-max" -> AggOp(in, keys, Seq(AggCall(MaxF, act, "hi_paid"), AggCall(CountF, act, "n"))))
+  }
+
   /** Plan one case over `k` time steps: under c̃_w (PDW) one output at the
     * last time, under c̃_v (IVM, `ivm = true`) an output at every time.
     */
   private def planCase(qName: String, pattern: Pattern, methodName: String,
                        methods: Methods, ivm: Boolean = false, k: Int = 2): Case = {
-    val q = LiteQueries.byName(qName)
+    val q = minMaxQueries.getOrElse(qName, LiteQueries.byName(qName))
     val in = TpcdsLite.inputsFor(spark, q, pattern, SF, k)
     val (outTimes, costFn, tag) =
       if (ivm) (0 until k, VectorCost(k), "v") else (Seq(k - 1), Harness.pdwCost2, "w")
@@ -115,6 +126,17 @@ class IncrementalLiteSpec extends SparkSpec {
     }
   }
 
+  // MIN/MAX keep no aggregate state: the aggregate is recomputed from the
+  // snapshot of its input wherever the plan needs it
+  for (q <- minMaxQueries.keys.toSeq.sorted; (mn, m) <- allMethods; ivm <- Seq(false, true)) {
+    test(s"$q / delta-RS / $mn${if (ivm) " under IVM" else ""}: plans, runs and matches DuckDB") {
+      val c = planCase(q, DeltaRS, mn, m, ivm)
+      val exec = c.executor.run()
+      assert(exec.outputs.map(_._1) == c.outTimes)
+      Harness.checkOutputs(exec, c.query, c.inputs)
+    }
+  }
+
   // the executor persists and counts only the nodes it keeps; every other
   // node's row count is observed inside its consumer's job
   test("q93 / delta-big / Tempura starts one Spark job per kept node and output") {
@@ -127,12 +149,16 @@ class IncrementalLiteSpec extends SparkSpec {
   }
 
   // with one shuffle partition the executor coalesces its inputs, kept nodes
-  // and outputs to one partition and runs without whole-stage code
-  // generation: rows, outputs and job counts are as with many partitions. A
-  // state saved at t0 is planned with no generated stage, and with an
-  // exchange only where a union's output is regrouped: a union of
-  // one-partition frames has one partition per input
+  // and outputs to one partition and runs without generated code: rows,
+  // outputs and job counts are as with many partitions, and the session's
+  // code generation settings are back afterwards. A state saved at t0 is
+  // planned with no generated stage, and with an exchange only where a
+  // union's output is regrouped: a union of one-partition frames has one
+  // partition per input. A run compiles so few classes that the next run
+  // finds them all in Spark's code cache
   test("one shuffle partition: same rows, outputs and jobs; a t0 state exchanges only union outputs") {
+    val codegen = Seq("spark.sql.codegen.wholeStage", "spark.sql.codegen.factoryMode")
+    val before = codegen.map(spark.conf.getOption)
     SparkSpec.withConf(spark)("spark.sql.shuffle.partitions" -> "1",
                               "spark.sql.adaptive.enabled" -> "false") {
       for ((q, p, mn, m, ivm, k) <- Seq(
@@ -143,7 +169,7 @@ class IncrementalLiteSpec extends SparkSpec {
         spark.catalog.clearCache()
         val c = planCase(q, p, mn, m, ivm, k)
         val jobs = countedRun(c)
-        assert(spark.conf.get("spark.sql.codegen.wholeStage") == "true")
+        assert(codegen.map(spark.conf.getOption) == before)
         if (c.key == "q93/delta-big/Tempura/w/T=2") assert(jobs == 4)
         val t0States = c.plan.states.filter(_.time == 0)
         assert(t0States.nonEmpty, c.key)
@@ -159,6 +185,18 @@ class IncrementalLiteSpec extends SparkSpec {
           assert(found.isEmpty, s"${c.key}: state (${s.groupId},0) plans $found")
         }
       }
+      // the q40 case twice more, back to back: the second run finds the
+      // few classes the first compiled in Spark's code cache
+      val compiles = CodegenMetrics.METRIC_COMPILATION_TIME
+      val (again, exec, compiled) = Seq.fill(2) {
+        spark.catalog.clearCache()
+        val c = planCase("q40", DeltaRS, "HOV", Methods.hov)
+        val start = compiles.getCount
+        val exec = c.executor.run()
+        (c, exec, compiles.getCount - start)
+      }.last
+      check(again, exec)
+      assert(compiled <= 10, s"${again.key}: a second run compiled $compiled classes")
     }
   }
 

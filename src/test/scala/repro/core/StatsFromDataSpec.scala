@@ -1,15 +1,17 @@
 package repro.core
 
-import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.{AnalysisException, DataFrame}
 import org.apache.spark.sql.functions.{col, countDistinct}
 import repro.SparkSpec
 import repro.core.cost.VectorCost
+import repro.core.exec.Executor
 import repro.core.stats.TvrStats
 import repro.core.tvr.Delta
 import repro.queries.{LiteQueries, TpcdsLite}
 
 /** [[TvrStats.fromData]] against a per-column reference, and its cost in
-  * Spark jobs: one per table.
+  * Spark jobs: one per table. At one shuffle partition it runs interpreted
+  * ([[Executor.interpreted]]), with the same result and job count.
   */
 class StatsFromDataSpec extends SparkSpec {
   import spark.implicits._
@@ -22,12 +24,27 @@ class StatsFromDataSpec extends SparkSpec {
       all.filter(col(Delta.MULT) < 0).count() > 0)
   }
 
-  private def oneJob(name: String, deltas: Vector[DataFrame], cols: Seq[String]): Unit =
+  private val codegen = Seq("spark.sql.codegen.wholeStage", "spark.sql.codegen.factoryMode")
+  private def codegenConf = codegen.map(spark.conf.getOption)
+  private def atOnePartition[A](body: => A): A =
+    SparkSpec.withConf(spark)("spark.sql.shuffle.partitions" -> "1",
+                              "spark.sql.adaptive.enabled" -> "false")(body)
+
+  private def oneJob(name: String, deltas: Vector[DataFrame], cols: Seq[String]): Unit = {
     test(s"one aggregate job equals the per-column reference: $name") {
       val (stats, jobs) = SparkSpec.countJobs(spark)(TvrStats.fromData(deltas, cols))
       assert(stats == reference(deltas, cols))
       assert(jobs == 1)
     }
+    test(s"one partition, interpreted: the same statistics in one job: $name") {
+      val many = TvrStats.fromData(deltas, cols)
+      val before = codegenConf
+      val (stats, jobs) = atOnePartition(SparkSpec.countJobs(spark)(TvrStats.fromData(deltas, cols)))
+      assert(stats == many)
+      assert(jobs == 1)
+      assert(codegenConf == before)
+    }
+  }
 
   private def rows(xs: (Option[Long], Option[String])*): DataFrame = xs.toDF("k", "s")
   private val retracting =
@@ -42,6 +59,20 @@ class StatsFromDataSpec extends SparkSpec {
   oneJob("a single delta", Vector(rows(Some(5L) -> Some("x"), Some(6L) -> Some("x"))), Seq("k", "s"))
   oneJob("negative multiplicities", Vector(rows(Some(1L) -> Some("a")), retracting), Seq("k", "s"))
   oneJob("no deltas with rows", Vector(rows(), rows()), Seq("k"))
+
+  test("one partition: the code generation settings are restored when the body throws") {
+    val before = codegenConf
+    atOnePartition {
+      intercept[AnalysisException](TvrStats.fromData(Vector(rows(Some(1L) -> Some("a"))), Seq("nope")))
+      val e = intercept[IllegalStateException](Executor.interpreted(spark) {
+        assert(spark.conf.get("spark.sql.codegen.wholeStage") == "false")
+        assert(spark.conf.get("spark.sql.codegen.factoryMode") == "NO_CODEGEN")
+        throw new IllegalStateException("body failed")
+      })
+      assert(e.getMessage == "body failed")
+    }
+    assert(codegenConf == before)
+  }
 
   test("retractions are read off the data; the caller's flag only adds them") {
     val r = TvrStats.fromData(Vector(retracting), Seq("k"))
