@@ -4,6 +4,7 @@ import scala.collection.mutable
 import org.apache.spark.sql.{DataFrame, SparkSession, classic}
 import org.apache.spark.sql.execution.CollectMetricsExec
 import org.apache.spark.sql.functions.{count, lit}
+import repro.core.SparkScope
 import repro.core.algebra._
 import repro.core.cost.OpCost
 import repro.core.memo._
@@ -53,7 +54,7 @@ final case class ExecReport(
   *    `SinglePartition` output satisfies every clustered or all-tuples
   *    distribution, so joins and aggregates over those frames need no hash
   *    exchange, and each job has fewer stages.
-  *  - [[run]] runs [[Executor.interpreted]]: no whole-stage code and no
+  *  - [[run]] runs [[SparkScope.interpreted]]: no whole-stage code and no
   *    generated projection, predicate or ordering classes, since compiling a
   *    class takes longer than the compiled code saves on a few thousand rows.
   *    A pass would compile more classes than Spark's code cache holds, so
@@ -64,7 +65,7 @@ final case class ExecReport(
 final class Executor(spark: SparkSession, plan: IncrementalPlan,
                      deltas: Map[String, Vector[DataFrame]], numTimes: Int) {
   plan.validate(outputTimes = Nil) // every load resolves, before any job runs
-  private val onePartition = Executor.onePartition(spark)
+  private val onePartition = SparkScope.onePartition(spark)
   private def single(df: DataFrame): DataFrame = if (onePartition) df.coalesce(1) else df
   private val inputs = deltas.map { case (table, ds) => table -> ds.map(single) }
   private val cache = mutable.HashMap[(Int, Int), RtVal]()
@@ -281,8 +282,8 @@ final class Executor(spark: SparkSession, plan: IncrementalPlan,
     cache.get(node).collect { case Rel(df, n) if kept(n) => df }
 
   /** Run the plan across all time steps, interpreted at one shuffle
-    * partition ([[Executor.interpreted]]). */
-  def run(): ExecReport = Executor.interpreted(spark) {
+    * partition ([[SparkScope.interpreted]]). */
+  def run(): ExecReport = SparkScope.interpreted(spark) {
     val wall = Array.fill(numTimes)(0.0)
     val outputs = mutable.ArrayBuffer[(Int, DataFrame)]()
     for (t <- 0 until numTimes) {
@@ -311,42 +312,6 @@ final class Executor(spark: SparkSession, plan: IncrementalPlan,
 }
 
 object Executor {
-  private val WholeStage = "spark.sql.codegen.wholeStage"
-  private val FactoryMode = "spark.sql.codegen.factoryMode"
-
-  /** True if `spark` plans one shuffle partition: the small-input case,
-    * where a job's cost is fixed per stage and per generated class. */
-  private def onePartition(spark: SparkSession): Boolean =
-    spark.asInstanceOf[classic.SparkSession].sessionState.conf.numShufflePartitions == 1
-
-  /** Run `body` without generated code if `spark` has one shuffle partition,
-    * and as it is otherwise. Inside, whole-stage code generation is off and
-    * `spark.sql.codegen.factoryMode` is `NO_CODEGEN`, so projections,
-    * predicates, orderings and mutable projections take Spark's interpreted
-    * path too: on a few thousand rows, compiling a class costs more than it
-    * saves. Spark marks `factoryMode` as internal (its own suites use it to
-    * run the interpreted expression paths), so it is set only inside this
-    * scope, and both settings are restored afterwards, also when `body`
-    * throws. [[Executor.run]] and the aggregate job of
-    * [[repro.core.stats.TvrStats.fromData]] run inside it.
-    */
-  def interpreted[A](spark: SparkSession)(body: => A): A =
-    if (!onePartition(spark)) body
-    else withConf(spark)(WholeStage -> "false", FactoryMode -> "NO_CODEGEN")(body)
-
-  /** Run `body` with the runtime SQL confs `pairs` set, then restore each
-    * one's earlier value (or unset it), also when `body` throws.
-    */
-  def withConf[A](spark: SparkSession)(pairs: (String, String)*)(body: => A): A = {
-    val before = pairs.map { case (k, _) => k -> spark.conf.getOption(k) }
-    pairs.foreach { case (k, v) => spark.conf.set(k, v) }
-    try body
-    finally before.foreach {
-      case (k, Some(v)) => spark.conf.set(k, v)
-      case (k, None)    => spark.conf.unset(k)
-    }
-  }
-
   /** The plan nodes an [[Executor]] persists and counts in a job of their
     * own: state roots, nodes read by more than one consumer (over all time
     * steps), inputs of HOV init and step (the trigger branches on their row

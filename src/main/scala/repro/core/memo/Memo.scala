@@ -94,8 +94,9 @@ final case class HovSpec(
 
 final case class MNode(op: MOp, children: Vector[Int])
 
-/** Logical equivalence class (Calcite RelSet). */
-final class Group(val id: Int, val schemaCols: Seq[(String, ColType)], val stats: RelStats) {
+/** Logical equivalence class (Calcite RelSet). `stats` are its logical
+  * properties, derived once when the group is created. */
+final class Group(val id: Int, val stats: RelStats) {
   val nodes = mutable.LinkedHashSet[MNode]()
   override def toString: String = s"G$id(${nodes.size} nodes)"
 }
@@ -133,8 +134,8 @@ final class Memo {
   var nRuleAttempts: Long = 0L
   var nRuleFires: Long = 0L
 
-  def newGroup(schemaCols: Seq[(String, ColType)], stats: RelStats): Int = {
-    val g = new Group(groups.size, schemaCols, stats)
+  def newGroup(stats: RelStats): Int = {
+    val g = new Group(groups.size, stats)
     groups += g; g.id
   }
 
@@ -143,8 +144,7 @@ final class Memo {
   /** Register a node; returns its group (existing on structural hit). When
     * `into` is given and the node is new, it is added to that group.
     */
-  def register(node: MNode, into: Option[Int],
-               schemaCols: => Seq[(String, ColType)], stats: => RelStats): Int = {
+  def register(node: MNode, into: Option[Int], stats: => RelStats): Int = {
     nodeIndex.get(node) match {
       case Some(g) =>
         into.filter(_ != g).foreach { tgt =>
@@ -153,7 +153,7 @@ final class Memo {
         }
         g
       case None =>
-        val gid = into.getOrElse(newGroup(schemaCols, stats))
+        val gid = into.getOrElse(newGroup(stats))
         nodeIndex(node) = gid
         if (groups(gid).nodes.add(node)) events.enqueue(NodeAdded(gid, node))
         gid

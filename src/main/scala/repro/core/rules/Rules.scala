@@ -66,8 +66,6 @@ final case class Exploration(
 final class RuleEngine(problem: IqpProblem, methods: Methods, flags: OptFlags) {
   val memo = new Memo
   private val k = problem.numTimes
-  private val scanDefs: Map[String, Scan] =
-    problem.query.scans.map(s => s.table -> s).toMap
   private val baseTvrByTable = mutable.HashMap[String, Int]()
   private val derived = mutable.HashMap[(String, Vector[Int]), Int]()
   /** Translational-symmetry skip-markers, keyed (rule, tvr, t1, t2): a time
@@ -75,6 +73,8 @@ final class RuleEngine(problem: IqpProblem, methods: Methods, flags: OptFlags) {
   private val fired = mutable.HashSet[(String, Int, Int, Int)]()
   /** Per TVR, the delta-delta merges done, indexed (a * k + b) * k + c. */
   private val mergedDeltas = mutable.HashMap[Int, java.util.BitSet]()
+  /** Per HOV view-bundle TVR, the keys joining its leaf chain. */
+  private val hovChains = mutable.HashMap[Int, Vector[(Seq[String], Seq[String])]]()
   private var im2Fired = 0; private var ojvFired = 0; private var hovFired = 0
 
   // ---------------------------------------------------------------- helpers
@@ -87,175 +87,102 @@ final class RuleEngine(problem: IqpProblem, methods: Methods, flags: OptFlags) {
   private def markDone(rule: String, id: Int, t1: Int, t2: Int): Unit =
     if (flags.ts) fired.add((rule, id, t1, t2))
 
-  private def stateSchemaCols(keys: Seq[String], aggs: Seq[AggCall],
-                              childCols: Seq[(String, ColType)]): Seq[(String, ColType)] = {
-    val km = childCols.toMap
-    keys.map(c => c -> km(c)) ++
-      aggs.flatMap(a => repro.core.tvr.DeltaOps.stateCols(a).map { sc =>
-        sc -> (if (sc.endsWith("__sum")) TDouble else TLong: ColType)
-      }) :+ ("__gcnt" -> TLong)
-  }
-
-  private def aggOutCols(keys: Seq[String], aggs: Seq[AggCall],
-                         childCols: Seq[(String, ColType)]): Seq[(String, ColType)] = {
-    val km = childCols.toMap
-    keys.map(c => c -> km(c)) ++ aggs.map { a =>
-      a.name -> (a.fn match {
-        case CountF | CountStarF => TLong
-        case MinF | MaxF         => a.arg.collect { case Col(c) => km(c) }.getOrElse(TDouble)
-        case _                   => TDouble
-      })
-    }
-  }
-
-  /** Estimate output stats of a memo operator given its children's groups. */
-  private def estimate(op: MOp, children: Vector[Int]): RelStats = {
-    def cs(i: Int): RelStats = memo.groups(children(i)).stats
-    op match {
-      case MScanSnap(tb, t)       => problem.tableStats(tb).snapStats(t)
-      case MScanDelta(tb, t1, t2) => problem.tableStats(tb).deltaStats(t1, t2)
-      case MFilter(p)             => Estimator.filter(cs(0), p)
-      case MProject(es)           => Estimator.project(cs(0), es)
-      case MUnionAll(_)           => Estimator.unionAll(children.indices.map(cs))
-      case MJoin(kind, lk, rk, _) => Estimator.join(cs(0), cs(1), kind, lk, rk)
-      case MDeltaJoin(kind, lk, rk, _) =>
-        val rNew = RelStats(cs(2).rows + cs(3).rows, Estimator.maxMerge(cs(2), cs(3)))
-        Estimator.deltaJoin(cs(0), cs(1), rNew, cs(3), kind, lk, rk).out
-      case MMergeMult()  => RelStats(cs(0).rows + 0.5 * cs(1).rows, Estimator.maxMerge(cs(0), cs(1)))
-      case MMergeDelta() => Estimator.unionAll(Seq(cs(0), cs(1)))
-      case MDiffMult()   => RelStats(math.max(cs(0).rows * 0.1, cs(0).rows - cs(1).rows), cs(0).distinct)
-      case MPartialAgg(keys, _) => Estimator.agg(cs(0), keys)
-      case MSnapAgg(keys, _) => Estimator.agg(cs(0), keys)
-      case MMergeState(_, _) =>
-        RelStats(math.max(cs(0).rows, cs(1).rows) + 0.1 * math.min(cs(0).rows, cs(1).rows),
-          cs(0).distinct)
-      case MFinalAgg(_, _) => cs(0)
-      case MPadProject(cols) => RelStats(cs(0).rows, cs(0).distinct ++ cols.map(_._1 -> 1.0))
-      case MOjvDelta(lk, rk, _) =>
-        val rNew = RelStats(cs(2).rows + cs(3).rows, cs(2).distinct)
-        Estimator.deltaJoin(cs(0), cs(1), rNew, cs(3), LeftOuter, lk, rk).out
-      case MHovInit(spec) =>
-        // rows here represent the materialized view-bundle size
-        var total = 0.0
-        for (i <- 1 until spec.nLeaves) {
-          var acc = cs(0)
-          for (j <- 1 until spec.nLeaves if j != i) {
-            acc = Estimator.join(acc, cs(j), Inner, spec.chain(j - 1)._1, spec.chain(j - 1)._2)
-          }
-          total += acc.rows
-        }
-        RelStats(total + children.indices.map(cs(_).rows).sum, Map.empty)
-      case MHovStep(_, _) =>
-        RelStats(cs(0).rows + children.drop(1).indices.map(i => cs(i + 1).rows).sum, Map.empty)
-      case MHovExtract(spec) =>
-        val dRows = math.max(1.0, cs(0).rows * 0.02)
-        RelStats(math.min(dRows, if (spec.keys.isEmpty) 1.0 else dRows), Map.empty)
-    }
-  }
-
-  /** Output schema of a memo operator. */
-  private def schemaOf(op: MOp, children: Vector[Int]): Seq[(String, ColType)] = {
-    def cg(i: Int) = memo.groups(children(i)).schemaCols
-    op match {
-      case MScanSnap(tb, _)      => scanDefs(tb).cols
-      case MScanDelta(tb, _, _)  => scanDefs(tb).cols
-      case MFilter(_)            => cg(0)
-      case MProject(es) =>
-        val km = cg(0).toMap
-        es.map {
-          case (n, Col(c))     => n -> km(c)
-          case (n, NullLit(t)) => n -> t
-          case (n, Lit(_: String)) => n -> TString
-          case (n, _)          => n -> TDouble
-        }
-      case MUnionAll(_)          => cg(0)
-      case MJoin(kind, _, _, _) => kind match {
-        case LeftSemi | LeftAnti => cg(0)
-        case _                   => cg(0) ++ cg(1)
-      }
-      case MDeltaJoin(kind, _, _, rCols) => kind match {
-        case LeftSemi | LeftAnti => cg(0)
-        case _                   => cg(0) ++ rCols
-      }
-      case MMergeMult() | MMergeDelta() | MDiffMult() => cg(0)
-      case MPartialAgg(keys, aggs) => stateSchemaCols(keys, aggs, cg(0))
-      case MMergeState(_, _)       => cg(0)
-      case MFinalAgg(keys, aggs)   => aggOutCols(keys, aggs, cg(0))
-      case MSnapAgg(keys, aggs)    => aggOutCols(keys, aggs, cg(0))
-      case MPadProject(cols)       => cg(0) ++ cols
-      case MOjvDelta(_, _, rCols)  => cg(0) ++ rCols
-      case MHovInit(_) | MHovStep(_, _) => Seq("__aux" -> TLong)
-      case MHovExtract(spec) =>
-        stateSchemaCols(spec.keys, spec.aggs,
-          spec.leafSchemas.flatten)
-    }
-  }
-
-  /** Canonical statistics of a TVR's snapshot/delta, derived from its
-    * logical expression — NOT from whichever rule happens to create the
-    * group first. This keeps group stats (and therefore DP costs) identical
-    * across method configurations, so enabling more rules can only improve
-    * the optimum.
+  /** Statistics of link `link` of TVR `id`: the one derivation of a memo
+    * group's statistics. They follow from the TVR's logical expression and
+    * the link alone, never from the rule that happens to register the group
+    * first, so group statistics (and so DP costs) are the same under every
+    * method configuration, and enabling more rules can only improve the
+    * optimum.
+    *  - A snapshot follows its operator over the children's snapshots; an
+    *    aggregate's state snapshot or state delta aggregates its child's
+    *    snapshot or delta (whichever way that delta is derived).
+    *  - A delta is propagated from its inputs' deltas (§4.1) where every one
+    *    of them is a base-table delta or propagated itself. Otherwise (every
+    *    delta of an aggregate, and of what reads one) it is the difference
+    *    of the TVR's own snapshots: `max(0.1·s₂, s₂ − s₁)` rows with s₂'s
+    *    distinct counts.
+    *  - The HOV view bundle (a TVR with no logical expression, whose rows
+    *    count the stored bundle) at t is its complement views plus its leaf
+    *    snapshots; a stepped bundle is the previous bundle plus the leaf
+    *    deltas.
     */
-  private val linkStatsCache = mutable.HashMap[(Int, TvrLink), Option[RelStats]]()
-  private def linkStats(id: Int, link: TvrLink): Option[RelStats] =
+  private val linkStatsCache = mutable.HashMap[(Int, TvrLink), RelStats]()
+  private def linkStats(id: Int, link: TvrLink): RelStats =
     linkStatsCache.getOrElseUpdate((id, link), {
       val t = tvr(id)
-      def snap(c: Int, ti: Int) = linkStats(c, Snap(ti))
-      def del(c: Int, t1: Int, t2: Int) = linkStats(c, Del(t1, t2))
+      val c = t.childTvrs
+      def snap(x: Int, ti: Int) = linkStats(x, Snap(ti))
       (t.logical, link) match {
-        case (Some(s: Scan), Snap(ti, MultP)) =>
-          Some(problem.tableStats(s.table).snapStats(ti))
-        case (Some(s: Scan), Del(t1, t2, MultP)) =>
-          Some(problem.tableStats(s.table).deltaStats(t1, t2))
-        case (Some(l), Snap(ti, MultP)) => l match {
-          case FilterOp(_, p)   => snap(t.childTvrs(0), ti).map(Estimator.filter(_, p))
-          case ProjectOp(_, es) => snap(t.childTvrs(0), ti).map(Estimator.project(_, es))
-          case JoinOp(_, _, kd, lk, rk) =>
-            for (a <- snap(t.childTvrs(0), ti); b <- snap(t.childTvrs(1), ti))
-              yield Estimator.join(a, b, kd, lk, rk)
-          case AggOp(_, keys, _) => snap(t.childTvrs(0), ti).map(Estimator.agg(_, keys))
-          case UnionAllOp(_) =>
-            val cs = t.childTvrs.map(snap(_, ti))
-            if (cs.forall(_.isDefined)) Some(Estimator.unionAll(cs.map(_.get))) else None
-          case _ => None
-        }
-        case (Some(AggOp(_, keys, _)), Snap(ti, StateP)) =>
-          snap(t.childTvrs(0), ti).map(Estimator.agg(_, keys))
+        case (Some(s: Scan), Snap(ti, MultP))          => problem.tableStats(s.table).snapStats(ti)
+        case (Some(FilterOp(_, p)), Snap(ti, MultP))   => Estimator.filter(snap(c(0), ti), p)
+        case (Some(ProjectOp(_, es)), Snap(ti, MultP)) => Estimator.project(snap(c(0), ti), es)
+        case (Some(JoinOp(_, _, kd, lk, rk)), Snap(ti, MultP)) =>
+          Estimator.join(snap(c(0), ti), snap(c(1), ti), kd, lk, rk)
+        case (Some(UnionAllOp(_)), Snap(ti, MultP)) => Estimator.unionAll(c.map(snap(_, ti)))
+        case (Some(AggOp(_, keys, _)), Snap(ti, _)) => Estimator.agg(snap(c(0), ti), keys)
         case (Some(AggOp(_, keys, _)), Del(t1, t2, StateP)) =>
-          del(t.childTvrs(0), t1, t2).map(Estimator.agg(_, keys))
-        case (Some(l), Del(t1, t2, MultP)) => l match {
-          case FilterOp(_, p)   => del(t.childTvrs(0), t1, t2).map(Estimator.filter(_, p))
-          case ProjectOp(_, es) => del(t.childTvrs(0), t1, t2).map(Estimator.project(_, es))
-          case JoinOp(_, _, kd, lk, rk) =>
-            for {
-              lOld <- snap(t.childTvrs(0), t1); dL <- del(t.childTvrs(0), t1, t2)
-              rNew <- snap(t.childTvrs(1), t2); dR <- del(t.childTvrs(1), t1, t2)
-            } yield Estimator.deltaJoin(lOld, dL, rNew, dR, kd, lk, rk).out
-          case UnionAllOp(_) =>
-            val cs = t.childTvrs.map(del(_, t1, t2))
-            if (cs.forall(_.isDefined)) Some(Estimator.unionAll(cs.map(_.get))) else None
-          case _ => None
-        }
-        case _ => None
+          Estimator.agg(linkStats(c(0), Del(t1, t2)), keys)
+        case (Some(_), Del(t1, t2, MultP)) =>
+          propagatedDelta(id, t1, t2).getOrElse {
+            val (s2, s1) = (snap(id, t2), snap(id, t1))
+            RelStats(math.max(s2.rows * 0.1, s2.rows - s1.rows), s2.distinct)
+          }
+        case (None, Snap(ti, AuxP)) =>
+          // every complement view: leaf 0 joined with all leaves but one
+          val chain = hovChains(id)
+          val leaves = c.map(snap(_, ti))
+          var total = 0.0
+          for (i <- 1 until leaves.size) {
+            var acc = leaves(0)
+            for (j <- 1 until leaves.size if j != i)
+              acc = Estimator.join(acc, leaves(j), Inner, chain(j - 1)._1, chain(j - 1)._2)
+            total += acc.rows
+          }
+          RelStats(total + leaves.map(_.rows).sum, Map.empty)
+        case (None, Del(t1, t2, AuxP)) =>
+          RelStats(linkStats(id, Snap(t1, AuxP)).rows +
+            c.map(linkStats(_, Del(t1, t2)).rows).sum, Map.empty)
+        case other => throw new IllegalStateException(s"no statistics for $other of $t")
       }
     })
+
+  /** A delta's statistics propagated from its inputs' deltas, if every
+    * input delta is a base-table delta or is itself propagated. */
+  private def propagatedDelta(id: Int, t1: Int, t2: Int): Option[RelStats] = {
+    val t = tvr(id)
+    def del(i: Int) = propagatedDelta(t.childTvrs(i), t1, t2)
+    t.logical match {
+      case Some(s: Scan)          => Some(problem.tableStats(s.table).deltaStats(t1, t2))
+      case Some(FilterOp(_, p))   => del(0).map(Estimator.filter(_, p))
+      case Some(ProjectOp(_, es)) => del(0).map(Estimator.project(_, es))
+      case Some(JoinOp(_, _, kd, lk, rk)) =>
+        for (dL <- del(0); dR <- del(1)) yield Estimator.deltaJoin(
+          linkStats(t.childTvrs(0), Snap(t1)), dL, linkStats(t.childTvrs(1), Snap(t2)), dR,
+          kd, lk, rk).out
+      case Some(UnionAllOp(_)) =>
+        val ds = t.childTvrs.indices.map(del)
+        if (ds.forall(_.isDefined)) Some(Estimator.unionAll(ds.map(_.get))) else None
+      case _ => None
+    }
+  }
 
   /** Register an operator as a given intra-TVR link (creating the group if
     * the TVR does not have that link yet). Returns true if new.
     */
   private def registerAs(tvrId: Int, link: TvrLink, op: MOp, children: Vector[Int]): Boolean = {
     memo.nRuleFires += 1
-    val node = MNode(op, children)
     val existing = memo.linkGroup(tvrId, link)
-    val st = linkStats(tvrId, link).getOrElse(estimate(op, children))
-    val g = memo.register(node, existing, schemaOf(op, children), st)
+    val g = memo.register(MNode(op, children), existing, linkStats(tvrId, link))
     memo.addLink(tvrId, link, g) || existing.isEmpty
   }
 
-  /** A group with no TVR link (helper subtrees like padded Q^N). */
-  private def anonGroup(op: MOp, children: Vector[Int]): Int =
-    memo.register(MNode(op, children), None, schemaOf(op, children), estimate(op, children))
+  /** IM-2's padded held-back part `pad(Q^N_t)`: a group with no TVR link,
+    * with its input's rows and the padded columns at one distinct value. */
+  private def padGroup(cols: Seq[(String, ColType)], neg: Int): Int = {
+    val in = memo.groups(neg).stats
+    memo.register(MNode(MPadProject(cols), Vector(neg)), None,
+      RelStats(in.rows, in.distinct ++ cols.map(_._1 -> 1.0)))
+  }
 
   // --------------------------------------------------------------- seeding
 
@@ -348,13 +275,7 @@ final class RuleEngine(problem: IqpProblem, methods: Methods, flags: OptFlags) {
     }
   }
 
-  private def rightColsOf(id: Int): Seq[(String, ColType)] = {
-    val t = tvr(id)
-    t.logical match {
-      case Some(JoinOp(_, r, _, _, _)) => r.schema.zip(r.types)
-      case _ => Nil
-    }
-  }
+  private def rightColsOf(id: Int): Seq[(String, ColType)] = groupColsOfTvr(tvr(id).childTvrs(1))
 
   /** Final: aggregate state snapshot → multiplicity snapshot. */
   private def ruleFinal(id: Int): Unit = {
@@ -547,7 +468,7 @@ final class RuleEngine(problem: IqpProblem, methods: Methods, flags: OptFlags) {
           memo.nRuleAttempts += 1
           (memo.linkGroup(pos, Snap(ti)), memo.linkGroup(neg, Snap(ti))) match {
             case (Some(pg), Some(ng)) =>
-              val padded = anonGroup(MPadProject(rCols), Vector(ng))
+              val padded = padGroup(rCols, ng)
               registerAs(id, Snap(ti), MUnionAll(2), Vector(pg, padded))
               markDone("im2use", id, ti, ti)
             case _ => ()
@@ -645,6 +566,7 @@ final class RuleEngine(problem: IqpProblem, methods: Methods, flags: OptFlags) {
         val hovT = derived.getOrElseUpdate((s"hovaux$id", leaves), {
           val aux = memo.newTvr()
           aux.childTvrs = leaves; aux.appendOnly = false
+          hovChains(aux.id) = joins
           leaves.foreach(l => memo.recordParent(l, aux.id))
           aux.id
         })

@@ -2,8 +2,8 @@ package repro.core.stats
 
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
+import repro.core.SparkScope
 import repro.core.algebra._
-import repro.core.exec.Executor
 import repro.core.tvr.Delta
 
 /** Cardinality statistics of one relation (a snapshot or a delta). */
@@ -51,7 +51,7 @@ object TvrStats {
     * experiment perturbs these.
     *
     * At one shuffle partition the job runs without generated code
-    * ([[Executor.interpreted]]): one aggregate over a few thousand rows
+    * ([[SparkScope.interpreted]]): one aggregate over a few thousand rows
     * compiles more than it computes.
     */
   def fromData(deltas: Vector[DataFrame], distinctCols: Seq[String],
@@ -62,7 +62,7 @@ object TvrStats {
     val aggs = deltas.indices.map(i => coalesce(sum(when(col(tag) === i, 1L)), lit(0L))) ++
       distinctCols.map(c => countDistinct(col(c))) :+
       coalesce(max(col(Delta.MULT) < 0), lit(false))
-    val row = Executor.interpreted(all.sparkSession)(all.agg(aggs.head, aggs.tail: _*).collect()(0))
+    val row = SparkScope.interpreted(all.sparkSession)(all.agg(aggs.head, aggs.tail: _*).collect()(0))
     val n = deltas.size
     TvrStats(deltas.indices.map(row.getLong(_).toDouble).toVector,
       distinctCols.indices.map(j => distinctCols(j) -> row.getLong(n + j).toDouble).toMap,

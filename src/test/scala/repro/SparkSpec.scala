@@ -5,7 +5,7 @@ import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import org.apache.spark.sql.SparkSession
 import org.scalatest.BeforeAndAfterAll
 import org.scalatest.funsuite.AnyFunSuite
-import repro.core.exec.Executor
+import repro.core.SparkScope
 
 /** Base for every test: one local-mode SparkSession for the whole run.
   *
@@ -70,7 +70,7 @@ object SparkSpec {
   }
 
   /** Run `body` with the runtime SQL confs `pairs` set, restored afterwards
-    * ([[Executor.withConf]]). */
+    * ([[SparkScope.withConf]]). */
   def withConf[A](spark: SparkSession)(pairs: (String, String)*)(body: => A): A =
-    Executor.withConf(spark)(pairs: _*)(body)
+    SparkScope.withConf(spark)(pairs: _*)(body)
 }

@@ -10,30 +10,29 @@ import repro.core.stats.RelStats
   */
 class MemoSpec extends AnyFunSuite {
   private def stats = RelStats(10, Map.empty)
-  private def cols = Seq("a" -> (TLong: ColType))
 
   test("structural dedup: identical nodes land in one group") {
     val m = new Memo
-    val g1 = m.register(MNode(MScanSnap("t", 0), Vector.empty), None, cols, stats)
-    val g2 = m.register(MNode(MScanSnap("t", 0), Vector.empty), None, cols, stats)
+    val g1 = m.register(MNode(MScanSnap("t", 0), Vector.empty), None, stats)
+    val g2 = m.register(MNode(MScanSnap("t", 0), Vector.empty), None, stats)
     assert(g1 == g2 && m.groups.size == 1)
-    val g3 = m.register(MNode(MScanSnap("t", 1), Vector.empty), None, cols, stats)
+    val g3 = m.register(MNode(MScanSnap("t", 1), Vector.empty), None, stats)
     assert(g3 != g1 && m.groups.size == 2)
   }
 
   test("nodes with different children groups are distinct") {
     val m = new Memo
-    val a = m.register(MNode(MScanSnap("t", 0), Vector.empty), None, cols, stats)
-    val b = m.register(MNode(MScanSnap("t", 1), Vector.empty), None, cols, stats)
-    val f1 = m.register(MNode(MFilter(Cmp("=", Col("a"), Lit(1L))), Vector(a)), None, cols, stats)
-    val f2 = m.register(MNode(MFilter(Cmp("=", Col("a"), Lit(1L))), Vector(b)), None, cols, stats)
+    val a = m.register(MNode(MScanSnap("t", 0), Vector.empty), None, stats)
+    val b = m.register(MNode(MScanSnap("t", 1), Vector.empty), None, stats)
+    val f1 = m.register(MNode(MFilter(Cmp("=", Col("a"), Lit(1L))), Vector(a)), None, stats)
+    val f2 = m.register(MNode(MFilter(Cmp("=", Col("a"), Lit(1L))), Vector(b)), None, stats)
     assert(f1 != f2)
   }
 
   test("link registration is idempotent and enqueues events once") {
     val m = new Memo
     val t = m.newTvr()
-    val g = m.register(MNode(MScanSnap("t", 0), Vector.empty), None, cols, stats)
+    val g = m.register(MNode(MScanSnap("t", 0), Vector.empty), None, stats)
     m.events.clear()
     assert(m.addLink(t.id, Snap(0), g))
     assert(!m.addLink(t.id, Snap(0), g))
@@ -65,7 +64,7 @@ class MemoSpec extends AnyFunSuite {
   test("links are keyed by perspective") {
     val m = new Memo
     val t = m.newTvr()
-    val g1 = m.register(MNode(MScanSnap("x", 0), Vector.empty), None, cols, stats)
+    val g1 = m.register(MNode(MScanSnap("x", 0), Vector.empty), None, stats)
     assert(m.addLink(t.id, Snap(0, MultP), g1))
     assert(m.addLink(t.id, Snap(0, StateP), g1), "different perspective = different link")
     assert(t.links.size == 2)
@@ -74,8 +73,8 @@ class MemoSpec extends AnyFunSuite {
   test("register into an existing group dedups against the index") {
     val m = new Memo
     val t = m.newTvr()
-    val g = m.register(MNode(MScanSnap("x", 0), Vector.empty), None, cols, stats)
-    val same = m.register(MNode(MScanSnap("x", 0), Vector.empty), Some(g), cols, stats)
+    val g = m.register(MNode(MScanSnap("x", 0), Vector.empty), None, stats)
+    val same = m.register(MNode(MScanSnap("x", 0), Vector.empty), Some(g), stats)
     assert(same == g && m.groups(g).nodes.size == 1)
   }
 }

@@ -13,7 +13,6 @@ import repro.queries.RunningExample.salesScan
   * exploration's translational-symmetry markers must not collide at large |T|.
   */
 class SearchSpec extends AnyFunSuite {
-  private val cols = Seq("a" -> (TLong: ColType))
   private val pred = Cmp(">", Col("a"), Lit(0L))
   private val stats = RelStats(10, Map.empty)
 
@@ -22,9 +21,9 @@ class SearchSpec extends AnyFunSuite {
     * settles one more group. */
   private def chainDp(n: Int): Dp = {
     val m = new Memo
-    (0 until n).foreach(_ => m.newGroup(cols, stats))
-    for (g <- 0 until n - 1) m.register(MNode(MFilter(pred), Vector(g + 1)), Some(g), cols, stats)
-    m.register(MNode(MScanSnap("t", 0), Vector.empty), Some(n - 1), cols, stats)
+    (0 until n).foreach(_ => m.newGroup(stats))
+    for (g <- 0 until n - 1) m.register(MNode(MFilter(pred), Vector(g + 1)), Some(g), stats)
+    m.register(MNode(MScanSnap("t", 0), Vector.empty), Some(n - 1), stats)
     val q = FilterOp(Scan("t", Seq("a" -> TLong)), pred)
     new Dp(m, IqpProblem(1, q, Seq(0), Map.empty, WeightedCost(Vector(1.0))))
   }

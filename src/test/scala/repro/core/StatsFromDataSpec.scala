@@ -4,14 +4,13 @@ import org.apache.spark.sql.{AnalysisException, DataFrame}
 import org.apache.spark.sql.functions.{col, countDistinct}
 import repro.SparkSpec
 import repro.core.cost.VectorCost
-import repro.core.exec.Executor
 import repro.core.stats.TvrStats
 import repro.core.tvr.Delta
 import repro.queries.{LiteQueries, TpcdsLite}
 
 /** [[TvrStats.fromData]] against a per-column reference, and its cost in
   * Spark jobs: one per table. At one shuffle partition it runs interpreted
-  * ([[Executor.interpreted]]), with the same result and job count.
+  * ([[SparkScope.interpreted]]), with the same result and job count.
   */
 class StatsFromDataSpec extends SparkSpec {
   import spark.implicits._
@@ -64,7 +63,7 @@ class StatsFromDataSpec extends SparkSpec {
     val before = codegenConf
     atOnePartition {
       intercept[AnalysisException](TvrStats.fromData(Vector(rows(Some(1L) -> Some("a"))), Seq("nope")))
-      val e = intercept[IllegalStateException](Executor.interpreted(spark) {
+      val e = intercept[IllegalStateException](SparkScope.interpreted(spark) {
         assert(spark.conf.get("spark.sql.codegen.wholeStage") == "false")
         assert(spark.conf.get("spark.sql.codegen.factoryMode") == "NO_CODEGEN")
         throw new IllegalStateException("body failed")
