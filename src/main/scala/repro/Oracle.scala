@@ -8,8 +8,8 @@ import scala.jdk.CollectionConverters._
   *
   * ``assertEquivalent(sparkDf, sql, tables)`` runs ``sql`` on DuckDB
   * (via JDBC, in-process) over ``tables`` and asserts the sorted rows
-  * match ``sparkDf``. This catches wrong results from a rewritten plan
-  * or a custom operator — "it ran" is not "it is correct".
+  * match ``sparkDf``, numbers to within 1e-6. This catches wrong results
+  * from a rewritten plan or a custom operator ("it ran" is not "it is correct").
   *
   * Alias every output column identically on both sides (Spark names
   * ``count(*)`` as ``count(1)``, DuckDB as ``count_star()``). Project
@@ -17,20 +17,21 @@ import scala.jdk.CollectionConverters._
   */
 object Oracle {
 
-  private def canon(rows: Seq[Row], cols: Seq[String]): Seq[Seq[String]] = {
+  private def canon(rows: Seq[Row], cols: Seq[String]): Seq[Seq[Any]] = {
     val order = cols.sorted
     val idx   = order.map(cols.indexOf)
     rows
       .map(r => idx.map { i =>
         r.get(i) match {
           case null                => "∅"
-          // uniform numeric formatting: Spark may return DOUBLE where DuckDB
-          // returns HUGEINT/DECIMAL (e.g. SUM over BIGINT) and vice versa
-          case n: java.lang.Number => f"${n.doubleValue}%.6f"
+          // one numeric type: Spark may return DOUBLE where DuckDB returns
+          // HUGEINT/DECIMAL (e.g. SUM over BIGINT) and vice versa
+          case n: java.lang.Number => n.doubleValue
           case x                   => x.toString
         }
       })
-      .sortBy(_.mkString(""))
+      // the two sides pair up on numbers rounded to 6 decimals
+      .sortBy(_.map { case d: Double => f"$d%.6f"; case x => x }.mkString("\u0001"))
   }
 
   def assertEquivalent(sparkDf: DataFrame, sql: String, tables: (String, DataFrame)*): Unit = {
@@ -67,11 +68,16 @@ object Oracle {
       )
       val got = canon(sparkDf.collect().toSeq, sCols)
       val exp = canon(dRows, dCols)
-      require(got == exp,
-        s"result mismatch (${got.size} vs ${exp.size} rows):\n" +
-        s"  first spark-only: ${got.diff(exp).take(3)}\n" +
-        s"  first duck-only:  ${exp.diff(got).take(3)}"
-      )
+      // doubles equal up to summation order can differ in their last bits
+      val differ = got.zipAll(exp, Nil, Nil).filterNot { case (g, e) =>
+        g.size == e.size && g.zip(e).forall {
+          case (x: Double, y: Double) => math.abs(x - y) <= 1e-6 || (x.isNaN && y.isNaN)
+          case (x, y)                 => x == y
+        }
+      }
+      require(differ.isEmpty,
+        s"result mismatch (${got.size} vs ${exp.size} rows), first differing (spark, duckdb) rows:\n" +
+        s"  ${differ.take(3)}")
     } finally conn.close()
   }
 }

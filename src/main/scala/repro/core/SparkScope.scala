@@ -42,4 +42,14 @@ object SparkScope {
       case (k, None)    => spark.conf.unset(k)
     }
   }
+
+  /** Run `body` with `label` as the thread's Spark call site, short and long
+    * form, then restore the earlier one, also when `body` throws. Each job
+    * carries `label`, and Spark builds RDDs without a stack walk each. */
+  def withCallSite[A](spark: SparkSession)(label: String)(body: => A): A = {
+    val (sc, keys) = (spark.sparkContext, Seq("callSite.short", "callSite.long"))
+    val before = keys.map(sc.getLocalProperty)
+    keys.foreach(sc.setLocalProperty(_, label))
+    try body finally keys.zip(before).foreach { case (k, v) => sc.setLocalProperty(k, v) }
+  }
 }

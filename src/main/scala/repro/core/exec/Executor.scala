@@ -2,7 +2,8 @@ package repro.core.exec
 
 import scala.collection.mutable
 import org.apache.spark.sql.{DataFrame, SparkSession, classic}
-import org.apache.spark.sql.execution.CollectMetricsExec
+import org.apache.spark.sql.columnar.CachedBatch
+import org.apache.spark.sql.execution.{CollectMetricsExec, SQLExecution}
 import org.apache.spark.sql.functions.{count, lit}
 import repro.core.SparkScope
 import repro.core.algebra._
@@ -44,6 +45,8 @@ final case class ExecReport(
   * each; every other node stays lazy inside its one consumer's frame, and
   * its row count is observed in the job that materializes that consumer.
   * Work is added up at the end of each time step, once all its counts are in.
+  * A kept node is planned once, by `persist()`: its job sums the row counts of
+  * the column buffers it caches, under the call site `t=<t> node (g,t) <op>`.
   *
   * When the session has one shuffle partition, the inputs are small and
   * each job's cost is fixed per stage and per generated class, not per row.
@@ -65,6 +68,7 @@ final case class ExecReport(
 final class Executor(spark: SparkSession, plan: IncrementalPlan,
                      deltas: Map[String, Vector[DataFrame]], numTimes: Int) {
   plan.validate(outputTimes = Nil) // every load resolves, before any job runs
+  private val session = spark.asInstanceOf[classic.SparkSession]
   private val onePartition = SparkScope.onePartition(spark)
   private def single(df: DataFrame): DataFrame = if (onePartition) df.coalesce(1) else df
   private val inputs = deltas.map { case (table, ds) => table -> ds.map(single) }
@@ -86,8 +90,8 @@ final class Executor(spark: SparkSession, plan: IncrementalPlan,
     * otherwise lazy, with its row count observed under its own name. */
   private def rel(node: (Int, Int), df: DataFrame): Rel =
     if (kept(node)) {
-      val d = single(df).persist()
-      counts(node) = materialize(d)
+      val (d, n) = materialize(df)
+      counts(node) = n
       Rel(d, node)
     } else {
       val name = s"rows${node._1}@${node._2}"
@@ -96,16 +100,19 @@ final class Executor(spark: SparkSession, plan: IncrementalPlan,
       r
     }
 
-  /** Count the persisted frame `d` in one job. The lazy nodes it computed
-    * leave their row counts on the observers of its cached plan. */
-  private def materialize(d: DataFrame): Long = {
-    val n = d.count()
-    val cached = spark.asInstanceOf[classic.SparkSession].sharedState.cacheManager
-      .lookupCachedData(d.asInstanceOf[classic.Dataset[_]])
+  /** Persist `df` and count its rows in one job, over the cached column
+    * buffers it builds, under the session's SQL confs. The lazy nodes it
+    * computed leave their row counts on the observers of its cached plan. */
+  private def materialize(df: DataFrame): (DataFrame, Long) = {
+    val d = single(df).persist()
+    val cache = session.sharedState.cacheManager.lookupCachedData(d.asInstanceOf[classic.Dataset[_]])
       .getOrElse(throw new IllegalStateException("a persisted frame is not in the cache"))
-    val metrics = CollectMetricsExec.collect(cached.cachedRepresentation.cacheBuilder.cachedPlan)
-    for ((name, row) <- metrics; r <- observed.get(name)) counts(r.node) = row.getLong(0)
-    n
+      .cachedRepresentation.cacheBuilder
+    val n = SQLExecution.withSQLConfPropagated(session)(spark.sparkContext
+      .runJob(cache.cachedColumnBuffers, (bs: Iterator[CachedBatch]) => bs.map(_.numRows.toLong).sum).sum)
+    for ((name, row) <- CollectMetricsExec.collect(cache.cachedPlan); r <- observed.get(name))
+      counts(r.node) = row.getLong(0)
+    (d, n)
   }
 
   private def relOf(v: RtVal): DataFrame = v match {
@@ -133,7 +140,8 @@ final class Executor(spark: SparkSession, plan: IncrementalPlan,
       val cs = children.map(eval)
       def df(i: Int) = relOf(cs(i))
       def mat(d: DataFrame): Rel = rel((g, t), d)
-      val value: RtVal = op match {
+      val label = s"t=$t node ($g,$t) ${op.getClass.getSimpleName}"
+      val value: RtVal = SparkScope.withCallSite(spark)(label)(op match {
         case MScanSnap(tb, ti) => mat(scanSnap(tb, ti))
         case MScanDelta(tb, t1, t2) => mat(scanDelta(tb, t1, t2))
         case MFilter(pred) => mat(DeltaOps.filter(df(0), pred))
@@ -175,8 +183,9 @@ final class Executor(spark: SparkSession, plan: IncrementalPlan,
           val rKeyInQ = rCols.head._1
           // keys whose match count went 0 -> positive: retract the padded
           // rows, read off the previous snapshot of Q (Eq. 4b)
+          val leftCols = Delta.dataCols(qOld).filterNot(c => rCols.exists(_._1 == c)).map(qOld(_))
           val padded = Delta.attach(qOld).filter(qOld(rKeyInQ).isNull)
-            .select((memoLeftCols(rCols, qOld) :+ fcol(Delta.MULT)): _*)
+            .select(leftCols :+ fcol(Delta.MULT): _*)
           val pd = padded.withColumnRenamed(Delta.MULT, "__lm")
           val gone = trans.filter(fcol("__is"))
           val corrRetract = DeltaOps.padNulls(
@@ -207,18 +216,13 @@ final class Executor(spark: SparkSession, plan: IncrementalPlan,
           hovStep(spec, cs(0).asInstanceOf[HovRt],
             (1 until children.size).map(i => (df(i), rowsOf(cs(i)))).toVector)
         case MHovExtract(_) => mat(cs(0).asInstanceOf[HovRt].contribution)
-      }
+      })
       pending += (() => addRows(t, (g, t), value match {
         case h: HovRt => h.work
         case r: Rel   => OpCost.work(op, cs.map(rowsOf), rowsOf(r))
       }))
       value
   })
-
-  private def memoLeftCols(rCols: Seq[(String, ColType)], qOld: DataFrame) = {
-    val rNames = rCols.map(_._1).toSet
-    qOld.columns.filterNot(c => rNames.contains(c) || c == Delta.MULT).toSeq.map(qOld(_))
-  }
 
   private def addRows(t: Int, key: (Int, Int), v: Double): Unit =
     if (measuredKeys.add((key._1, t))) rowsByTime(t) += v
@@ -281,8 +285,8 @@ final class Executor(spark: SparkSession, plan: IncrementalPlan,
   def keptFrame(node: (Int, Int)): Option[DataFrame] =
     cache.get(node).collect { case Rel(df, n) if kept(n) => df }
 
-  /** Run the plan across all time steps, interpreted at one shuffle
-    * partition ([[SparkScope.interpreted]]). */
+  /** Run the plan across all time steps, interpreted at one shuffle partition
+    * ([[SparkScope.interpreted]]), each job under its plan node's call site. */
   def run(): ExecReport = SparkScope.interpreted(spark) {
     val wall = Array.fill(numTimes)(0.0)
     val outputs = mutable.ArrayBuffer[(Int, DataFrame)]()
@@ -292,15 +296,15 @@ final class Executor(spark: SparkSession, plan: IncrementalPlan,
         val v = eval(st.plan)
         stateSizes((st.groupId, st.time)) = rowsOf(v)
       }
-      for (out <- plan.outputs if out.time == t) {
-        val o = single(Delta.collapse(relOf(eval(out.plan)))).persist()
-        materialize(o)
-        outputs += ((t, o))
-      }
+      for (out <- plan.outputs if out.time == t)
+        outputs += SparkScope.withCallSite(spark)(s"t=$t node (${out.plan.groupId},$t) output") {
+          (t, materialize(Delta.collapse(relOf(eval(out.plan))))._1)
+        }
       // adaptive execution can drop an observed subtree from the final plan
       // when another input of its consumer turns out empty at run time; such
       // a node is counted by a job of its own
-      for (r <- observed.values if !counts.contains(r.node)) counts(r.node) = r.df.count()
+      for (r <- observed.values if !counts.contains(r.node))
+        counts(r.node) = SparkScope.withCallSite(spark)(s"t=$t node ${r.node} observed")(r.df.count())
       observed.clear()
       pending.foreach(_())
       pending.clear()

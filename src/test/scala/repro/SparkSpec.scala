@@ -1,6 +1,8 @@
 package repro
 
-import java.util.concurrent.atomic.AtomicInteger
+import java.util.Properties
+import java.util.concurrent.ConcurrentLinkedQueue
+import scala.jdk.CollectionConverters._
 import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import org.apache.spark.sql.SparkSession
 import org.scalatest.BeforeAndAfterAll
@@ -42,27 +44,34 @@ object SparkSpec {
     s
   }
 
-  /** Run `body` and count the Spark jobs it starts. Adaptive execution is
-    * off meanwhile: it would submit every shuffle stage of a query as a job
-    * of its own, so the count would follow the physical plan's shape.
-    */
+  /** Run `body` and count the Spark jobs it starts ([[jobsOf]]). */
   def countJobs[A](spark: SparkSession)(body: => A): (A, Int) = {
+    val (a, jobs) = jobsOf(spark)(body)
+    (a, jobs.size)
+  }
+
+  /** Run `body` and collect the local properties of each Spark job it
+    * starts, in start order. Adaptive execution is off meanwhile unless
+    * `adaptive`: it would submit every shuffle stage of a query as a job of
+    * its own, so the jobs would follow the physical plan's shape.
+    */
+  def jobsOf[A](spark: SparkSession, adaptive: Boolean = false)(body: => A): (A, Seq[Properties]) = {
     val sc = spark.sparkContext
-    val key = "repro.test.countJobs"
+    val key = "repro.test.jobsOf"
     val id = java.util.UUID.randomUUID().toString
-    val jobs = new AtomicInteger()
+    val jobs = new ConcurrentLinkedQueue[Properties]()
     val listener = new SparkListener {
       override def onJobStart(e: SparkListenerJobStart): Unit =
-        if (Option(e.properties).exists(_.getProperty(key) == id)) jobs.incrementAndGet()
+        if (Option(e.properties).exists(_.getProperty(key) == id)) jobs.add(e.properties)
     }
     sc.addSparkListener(listener)
     sc.setLocalProperty(key, id)
-    try withConf(spark)("spark.sql.adaptive.enabled" -> "false") {
+    try withConf(spark)("spark.sql.adaptive.enabled" -> adaptive.toString) {
       val a = body
       // wait until the listener has seen every event posted so far
       val bus = sc.getClass.getMethod("listenerBus").invoke(sc)
       bus.getClass.getMethod("waitUntilEmpty", classOf[Long]).invoke(bus, Long.box(30000L))
-      (a, jobs.get)
+      (a, jobs.asScala.toSeq)
     } finally {
       sc.setLocalProperty(key, null)
       sc.removeSparkListener(listener)
