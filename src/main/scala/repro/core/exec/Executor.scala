@@ -50,28 +50,34 @@ final case class ExecReport(
   *
   * When the session has one shuffle partition, the inputs are small and
   * each job's cost is fixed per stage and per generated class, not per row.
-  * Two things then cut that cost:
-  *  - The frames Spark plans over are coalesced to one partition: each
-  *    input delta once, here, and each kept node and collapsed output before
-  *    it is persisted. `coalesce(1)` is a narrow dependency whose
-  *    `SinglePartition` output satisfies every clustered or all-tuples
-  *    distribution, so joins and aggregates over those frames need no hash
-  *    exchange, and each job has fewer stages.
-  *  - [[run]] runs [[SparkScope.interpreted]]: no whole-stage code and no
+  * Three things then cut that cost:
+  *  - The frames Spark plans over are coalesced to one partition
+  *    ([[SparkScope.single]]): each input delta once, here, since an input
+  *    may span several partitions, and each kept node and collapsed output
+  *    before it is persisted: a cached inner join reports a collection of
+  *    one-partition partitionings, which Spark does not take for one
+  *    partition when it plans a join over it. `coalesce(1)` is a
+  *    narrow dependency whose `SinglePartition` output satisfies every
+  *    clustered or all-tuples distribution, so joins and aggregates over
+  *    those frames need no hash exchange.
+  *  - [[run]] runs [[SparkScope.interpreted]], which plans each union, and
+  *    each empty relation left of an empty delta, under one coalesce too,
+  *    and lifts the size limit above which Spark shuffles a one-partition
+  *    join side; [[DeltaOps.transitions]] coalesces its full outer join.
+  *    So no plan holds an exchange, and each job runs in one stage.
+  *  - The same scope turns generated code off: no whole-stage code and no
   *    generated projection, predicate or ordering classes, since compiling a
   *    class takes longer than the compiled code saves on a few thousand rows.
   *    A pass would compile more classes than Spark's code cache holds, so
   *    without this each pass compiled them all again.
-  * Rows, row counts, plans and job counts are the same either way; with more
-  * shuffle partitions neither is done.
+  * Rows, row counts and job counts are the same either way; with more
+  * shuffle partitions none of this is done.
   */
 final class Executor(spark: SparkSession, plan: IncrementalPlan,
                      deltas: Map[String, Vector[DataFrame]], numTimes: Int) {
   plan.validate(outputTimes = Nil) // every load resolves, before any job runs
   private val session = spark.asInstanceOf[classic.SparkSession]
-  private val onePartition = SparkScope.onePartition(spark)
-  private def single(df: DataFrame): DataFrame = if (onePartition) df.coalesce(1) else df
-  private val inputs = deltas.map { case (table, ds) => table -> ds.map(single) }
+  private val inputs = deltas.map { case (table, ds) => table -> ds.map(SparkScope.single) }
   private val cache = mutable.HashMap[(Int, Int), RtVal]()
   private val rowsByTime = Array.fill(numTimes)(0.0)
   private val measuredKeys = mutable.HashSet[(Int, Int)]()
@@ -104,7 +110,7 @@ final class Executor(spark: SparkSession, plan: IncrementalPlan,
     * buffers it builds, under the session's SQL confs. The lazy nodes it
     * computed leave their row counts on the observers of its cached plan. */
   private def materialize(df: DataFrame): (DataFrame, Long) = {
-    val d = single(df).persist()
+    val d = SparkScope.single(df).persist()
     val cache = session.sharedState.cacheManager.lookupCachedData(d.asInstanceOf[classic.Dataset[_]])
       .getOrElse(throw new IllegalStateException("a persisted frame is not in the cache"))
       .cachedRepresentation.cacheBuilder

@@ -50,9 +50,11 @@ object TvrStats {
     * benches so the optimizer plans with accurate estimates; the sensitivity
     * experiment perturbs these.
     *
-    * At one shuffle partition the job runs without generated code
-    * ([[SparkScope.interpreted]]): one aggregate over a few thousand rows
-    * compiles more than it computes.
+    * At one shuffle partition the job runs without generated code and in
+    * one stage ([[SparkScope.interpreted]]): one aggregate over a few
+    * thousand rows compiles more than it computes, and the union of the
+    * deltas and Spark's expand for several distinct counts are planned
+    * under one coalesce, so no exchange regroups them.
     */
   def fromData(deltas: Vector[DataFrame], distinctCols: Seq[String],
                hasRetractions: Boolean = false): TvrStats = {

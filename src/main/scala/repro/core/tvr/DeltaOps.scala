@@ -2,6 +2,7 @@ package repro.core.tvr
 
 import org.apache.spark.sql.{Column, DataFrame}
 import org.apache.spark.sql.functions._
+import repro.core.SparkScope
 import repro.core.algebra._
 import Delta.MULT
 
@@ -78,11 +79,14 @@ object DeltaOps {
 
   /** Right keys whose total multiplicity crosses zero between `rOld` and
     * `rOld + dR`. Output columns: the key columns plus `__was`, `__is`.
+    * A full outer join's output does not report one partition, so at one
+    * shuffle partition it is coalesced ([[SparkScope.single]]), and a join
+    * over it needs no exchange.
     */
   def transitions(rOld: DataFrame, dR: DataFrame, rk: Seq[String]): DataFrame = {
     val ot = keyTotals(rOld, rk).withColumnRenamed("__kc", "__oc")
     val dt = keyTotals(dR, rk).withColumnRenamed("__kc", "__dc")
-    ot.join(dt, rk, "full_outer")
+    SparkScope.single(ot.join(dt, rk, "full_outer"))
       .select(
         rk.map(col) ++ Seq(
           (coalesce(col("__oc"), lit(0L)) > 0L).as("__was"),

@@ -4,7 +4,9 @@ import java.util.Properties
 import java.util.concurrent.ConcurrentLinkedQueue
 import scala.jdk.CollectionConverters._
 import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
-import org.apache.spark.sql.SparkSession
+import org.apache.spark.sql.{SparkSession, classic}
+import org.apache.spark.sql.execution.{QueryExecution, SparkPlan}
+import org.apache.spark.sql.util.QueryExecutionListener
 import org.scalatest.BeforeAndAfterAll
 import org.scalatest.funsuite.AnyFunSuite
 import repro.core.SparkScope
@@ -44,38 +46,65 @@ object SparkSpec {
     s
   }
 
+  /** One Spark job: its local properties and the number of stages it spans. */
+  final case class Job(props: Properties, stages: Int)
+
   /** Run `body` and count the Spark jobs it starts ([[jobsOf]]). */
   def countJobs[A](spark: SparkSession)(body: => A): (A, Int) = {
     val (a, jobs) = jobsOf(spark)(body)
     (a, jobs.size)
   }
 
-  /** Run `body` and collect the local properties of each Spark job it
-    * starts, in start order. Adaptive execution is off meanwhile unless
-    * `adaptive`: it would submit every shuffle stage of a query as a job of
-    * its own, so the jobs would follow the physical plan's shape.
+  /** Run `body` and collect each Spark job it starts, in start order.
+    * Adaptive execution is off meanwhile unless `adaptive`: it would submit
+    * every shuffle stage of a query as a job of its own, so the jobs would
+    * follow the physical plan's shape.
     */
-  def jobsOf[A](spark: SparkSession, adaptive: Boolean = false)(body: => A): (A, Seq[Properties]) = {
+  def jobsOf[A](spark: SparkSession, adaptive: Boolean = false)(body: => A): (A, Seq[Job]) = {
     val sc = spark.sparkContext
     val key = "repro.test.jobsOf"
     val id = java.util.UUID.randomUUID().toString
-    val jobs = new ConcurrentLinkedQueue[Properties]()
+    val jobs = new ConcurrentLinkedQueue[Job]()
     val listener = new SparkListener {
       override def onJobStart(e: SparkListenerJobStart): Unit =
-        if (Option(e.properties).exists(_.getProperty(key) == id)) jobs.add(e.properties)
+        if (Option(e.properties).exists(_.getProperty(key) == id))
+          jobs.add(Job(e.properties, e.stageInfos.size))
     }
     sc.addSparkListener(listener)
     sc.setLocalProperty(key, id)
     try withConf(spark)("spark.sql.adaptive.enabled" -> adaptive.toString) {
       val a = body
-      // wait until the listener has seen every event posted so far
-      val bus = sc.getClass.getMethod("listenerBus").invoke(sc)
-      bus.getClass.getMethod("waitUntilEmpty", classOf[Long]).invoke(bus, Long.box(30000L))
+      drain(spark)
       (a, jobs.asScala.toSeq)
     } finally {
       sc.setLocalProperty(key, null)
       sc.removeSparkListener(listener)
     }
+  }
+
+  /** Run `body` and collect the executed plan of each query of `spark` that
+    * it runs to completion, in completion order. */
+  def plansOf[A](spark: SparkSession)(body: => A): (A, Seq[SparkPlan]) = {
+    val plans = new ConcurrentLinkedQueue[SparkPlan]()
+    val listener = new QueryExecutionListener {
+      def onSuccess(funcName: String, qe: QueryExecution, durationNs: Long): Unit = plans.add(qe.executedPlan)
+      def onFailure(funcName: String, qe: QueryExecution, e: Exception): Unit = ()
+    }
+    val listeners = spark.asInstanceOf[classic.SparkSession].listenerManager
+    drain(spark) // the listener would also see queries that ended before it
+    listeners.register(listener)
+    try {
+      val a = body
+      drain(spark)
+      (a, plans.asScala.toSeq)
+    } finally listeners.unregister(listener)
+  }
+
+  /** Wait until every listener has seen every event posted so far. */
+  private def drain(spark: SparkSession): Unit = {
+    val sc = spark.sparkContext
+    val bus = sc.getClass.getMethod("listenerBus").invoke(sc)
+    bus.getClass.getMethod("waitUntilEmpty", classOf[Long]).invoke(bus, Long.box(30000L))
   }
 
   /** Run `body` with the runtime SQL confs `pairs` set, restored afterwards

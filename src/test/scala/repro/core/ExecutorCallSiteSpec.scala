@@ -30,7 +30,7 @@ class ExecutorCallSiteSpec extends SparkSpec {
     spark.catalog.clearCache()
     val executor = new Executor(spark, plan, inputs, 2)
     val (_, jobs) = SparkSpec.jobsOf(spark)(executor.run())
-    val nodes = jobs.map(props => props.getProperty("callSite.short") match {
+    val nodes = jobs.map(_.props).map(props => props.getProperty("callSite.short") match {
       case l @ Label(t, g, nt) if t == nt && props.getProperty("callSite.long") == l => (g.toInt, nt.toInt)
       case other => fail(s"a job labelled $other")
     })

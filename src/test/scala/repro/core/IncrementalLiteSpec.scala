@@ -1,13 +1,14 @@
 package repro.core
 
 import org.apache.spark.sql.{DataFrame, classic}
-import org.apache.spark.sql.execution.{SparkPlan, UnionExec, WholeStageCodegenExec}
+import org.apache.spark.sql.execution.WholeStageCodegenExec
 import org.apache.spark.sql.execution.exchange.ShuffleExchangeExec
 import org.apache.spark.metrics.source.CodegenMetrics
 import repro.SparkSpec
 import repro.core.algebra._
 import repro.core.cost.VectorCost
 import repro.core.exec.{ExecReport, Executor}
+import repro.core.memo.{MHovInit, MHovStep, MOp}
 import repro.core.opt.{Compute, IncrementalPlan, PlanNode, Tempura}
 import repro.core.rules.Methods
 import repro.core.tvr.Delta
@@ -100,11 +101,11 @@ class IncrementalLiteSpec extends SparkSpec {
     check(c, c.executor.run())
   }
 
-  /** Run a case with its Spark jobs counted. */
-  private def countedRun(c: Case): Int = {
-    val (exec, jobs) = SparkSpec.countJobs(spark)(c.executor.run())
+  /** Run and check a case, with the Spark jobs it starts. */
+  private def countedRun(c: Case): (ExecReport, Seq[SparkSpec.Job]) = {
+    val (exec, jobs) = SparkSpec.jobsOf(spark)(c.executor.run())
     check(c, exec)
-    jobs
+    (exec, jobs)
   }
 
   // q93 (simple outer join + agg): full grid of patterns x methods
@@ -176,7 +177,7 @@ class IncrementalLiteSpec extends SparkSpec {
         val c = planCase("q93", DeltaBig, "Tempura", Methods.full, ivm, edit = emptyFactsAtT1)
         val (exec, jobs) = SparkSpec.jobsOf(spark, adaptive = aqe)(c.executor.run())
         checkOutputs(c, exec)
-        val observed = jobs.map(_.getProperty("callSite.short")).filter(_.endsWith(" observed"))
+        val observed = jobs.map(_.props.getProperty("callSite.short")).filter(_.endsWith(" observed"))
         assert(observed.nonEmpty == aqe, observed)
       }
     }
@@ -186,24 +187,23 @@ class IncrementalLiteSpec extends SparkSpec {
   // node's row count is observed inside its consumer's job
   test("q93 / delta-big / Tempura starts one Spark job per kept node and output") {
     val c = planCase("q93", DeltaBig, "Tempura", Methods.full)
-    val jobs = countedRun(c)
-    val nodes = (c.plan.states.map(_.plan) ++ c.plan.outputs.map(_.plan)).flatMap(all).distinct
-    val kept = nodes.filter(Executor.kept(c.plan))
+    val jobs = countedRun(c)._2.size
+    val kept = ops(c.plan).keys.filter(Executor.kept(c.plan))
     assert(jobs == kept.size + c.plan.outputs.size)
     assert(jobs == 4)
   }
 
-  // with one shuffle partition the executor coalesces its inputs, kept nodes
-  // and outputs to one partition and runs without generated code: rows,
-  // outputs and job counts are as with many partitions, and the session's
-  // code generation settings are back afterwards. A state saved at t0 is
-  // planned with no generated stage, and with an exchange only where a
-  // union's output is regrouped: a union of one-partition frames has one
-  // partition per input. A run compiles so few classes that the next run
-  // finds them all in Spark's code cache
-  test("one shuffle partition: same rows, outputs and jobs; a t0 state exchanges only union outputs") {
+  // with one shuffle partition the executor runs without generated code and
+  // without shuffles: rows, outputs and job counts are as with many
+  // partitions, and the session's code generation settings are back
+  // afterwards. Every job runs in one stage: the cached plan of every kept
+  // node and output, at every time step, has no exchange and no generated
+  // stage. A run compiles so few classes that the next run finds them all
+  // in Spark's code cache
+  test("one shuffle partition: same rows, outputs and jobs; one stage per job, no exchange or generated stage") {
     val codegen = Seq("spark.sql.codegen.wholeStage", "spark.sql.codegen.factoryMode")
     val before = codegen.map(spark.conf.getOption)
+    val cacheManager = spark.asInstanceOf[classic.SparkSession].sharedState.cacheManager
     SparkSpec.withConf(spark)("spark.sql.shuffle.partitions" -> "1",
                               "spark.sql.adaptive.enabled" -> "false") {
       for ((q, p, mn, m, ivm, k) <- Seq(
@@ -213,21 +213,27 @@ class IncrementalLiteSpec extends SparkSpec {
         // no frame cached by an earlier case may stand in for a subplan
         spark.catalog.clearCache()
         val c = planCase(q, p, mn, m, ivm, k)
-        val jobs = countedRun(c)
+        val (exec, jobs) = countedRun(c)
         assert(codegen.map(spark.conf.getOption) == before)
-        if (c.key == "q93/delta-big/Tempura/w/T=2") assert(jobs == 4)
-        val t0States = c.plan.states.filter(_.time == 0)
-        assert(t0States.nonEmpty, c.key)
-        for (s <- t0States) {
-          val df = c.executor.keptFrame((s.plan.groupId, s.plan.time))
-            .getOrElse(fail(s"${c.key}: state (${s.groupId},0) has no persisted frame"))
-          val cached = spark.asInstanceOf[classic.SparkSession].sharedState.cacheManager
-            .lookupCachedData(df.asInstanceOf[classic.Dataset[_]]).get
+        assert(jobs.forall(_.stages == 1),
+          s"${c.key}: stages per job ${jobs.map(j => j.props.getProperty("callSite.short") -> j.stages)}")
+        if (c.key == "q93/delta-big/Tempura/w/T=2") assert(jobs.size == 4 && jobs.map(_.stages).sum == 4)
+        // a HOV trigger keeps view bundles, not a frame
+        val keptNodes = ops(c.plan).collect {
+          case (n, op) if Executor.kept(c.plan)(n) && !op.isInstanceOf[MHovInit] && !op.isInstanceOf[MHovStep] => n
+        }.toSeq.sorted
+        val frames = keptNodes.map { n =>
+          s"node $n" -> c.executor.keptFrame(n).getOrElse(fail(s"${c.key}: node $n has no persisted frame"))
+        } ++ exec.outputs.map { case (t, df) => s"output at t$t" -> df }
+        assert(keptNodes.nonEmpty, c.key)
+        for ((name, df) <- frames) {
+          val cached = cacheManager.lookupCachedData(df.asInstanceOf[classic.Dataset[_]])
+            .getOrElse(fail(s"${c.key}: $name is not cached"))
           val found = cached.cachedRepresentation.cacheBuilder.cachedPlan.collect {
-            case e: ShuffleExchangeExec if !spine(e.child).isInstanceOf[UnionExec] => e
+            case e: ShuffleExchangeExec => e
             case w: WholeStageCodegenExec => w
           }
-          assert(found.isEmpty, s"${c.key}: state (${s.groupId},0) plans $found")
+          assert(found.isEmpty, s"${c.key}: $name plans $found")
         }
       }
       // the q40 case twice more, back to back: the second run finds the
@@ -245,11 +251,12 @@ class IncrementalLiteSpec extends SparkSpec {
     }
   }
 
-  /** The first operator at or below `p` that has other than one child. */
-  private def spine(p: SparkPlan): SparkPlan = if (p.children.size == 1) spine(p.children.head) else p
+  /** The operator of every computed node of `plan`, by node. */
+  private def ops(plan: IncrementalPlan): Map[(Int, Int), MOp] =
+    (plan.states.map(_.plan) ++ plan.outputs.map(_.plan)).flatMap(all).toMap
 
-  private def all(p: PlanNode): Seq[(Int, Int)] = p match {
-    case Compute(g, t, _, cs) => (g, t) +: cs.flatMap(all)
-    case _                    => Nil // a loaded state was counted where it was saved
+  private def all(p: PlanNode): Seq[((Int, Int), MOp)] = p match {
+    case Compute(g, t, op, cs) => ((g, t) -> op) +: cs.flatMap(all)
+    case _                     => Nil // a loaded state was counted where it was saved
   }
 }

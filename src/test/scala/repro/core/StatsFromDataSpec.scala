@@ -1,6 +1,7 @@
 package repro.core
 
-import org.apache.spark.sql.{AnalysisException, DataFrame}
+import org.apache.spark.sql.{AnalysisException, DataFrame, classic}
+import org.apache.spark.sql.execution.exchange.ShuffleExchangeExec
 import org.apache.spark.sql.functions.{col, countDistinct}
 import repro.SparkSpec
 import repro.core.cost.VectorCost
@@ -10,7 +11,8 @@ import repro.queries.{LiteQueries, TpcdsLite}
 
 /** [[TvrStats.fromData]] against a per-column reference, and its cost in
   * Spark jobs: one per table. At one shuffle partition it runs interpreted
-  * ([[SparkScope.interpreted]]), with the same result and job count.
+  * and with no exchange ([[SparkScope.interpreted]]), with the same result
+  * and job count.
   */
 class StatsFromDataSpec extends SparkSpec {
   import spark.implicits._
@@ -23,8 +25,12 @@ class StatsFromDataSpec extends SparkSpec {
       all.filter(col(Delta.MULT) < 0).count() > 0)
   }
 
-  private val codegen = Seq("spark.sql.codegen.wholeStage", "spark.sql.codegen.factoryMode")
-  private def codegenConf = codegen.map(spark.conf.getOption)
+  /** What [[SparkScope.interpreted]] sets: the code generation settings,
+    * the one-partition size limit and the extra planner strategies. */
+  private val scoped = Seq("spark.sql.codegen.wholeStage", "spark.sql.codegen.factoryMode",
+                           "spark.sql.maxSinglePartitionBytes")
+  private def scopeState = (scoped.map(spark.conf.getOption),
+                            spark.asInstanceOf[classic.SparkSession].experimental.extraStrategies)
   private def atOnePartition[A](body: => A): A =
     SparkSpec.withConf(spark)("spark.sql.shuffle.partitions" -> "1",
                               "spark.sql.adaptive.enabled" -> "false")(body)
@@ -37,11 +43,15 @@ class StatsFromDataSpec extends SparkSpec {
     }
     test(s"one partition, interpreted: the same statistics in one job: $name") {
       val many = TvrStats.fromData(deltas, cols)
-      val before = codegenConf
-      val (stats, jobs) = atOnePartition(SparkSpec.countJobs(spark)(TvrStats.fromData(deltas, cols)))
+      val before = scopeState
+      val ((stats, jobs), plans) = atOnePartition(
+        SparkSpec.plansOf(spark)(SparkSpec.countJobs(spark)(TvrStats.fromData(deltas, cols))))
       assert(stats == many)
       assert(jobs == 1)
-      assert(codegenConf == before)
+      assert(plans.size == 1)
+      val exchanges = plans.head.collect { case e: ShuffleExchangeExec => e }
+      assert(exchanges.isEmpty, plans.head)
+      assert(scopeState == before)
     }
   }
 
@@ -60,17 +70,23 @@ class StatsFromDataSpec extends SparkSpec {
   oneJob("no deltas with rows", Vector(rows(), rows()), Seq("k"))
 
   test("one partition: the code generation settings are restored when the body throws") {
-    val before = codegenConf
+    val before = scopeState
     atOnePartition {
       intercept[AnalysisException](TvrStats.fromData(Vector(rows(Some(1L) -> Some("a"))), Seq("nope")))
       val e = intercept[IllegalStateException](SparkScope.interpreted(spark) {
         assert(spark.conf.get("spark.sql.codegen.wholeStage") == "false")
         assert(spark.conf.get("spark.sql.codegen.factoryMode") == "NO_CODEGEN")
+        assert(spark.conf.get("spark.sql.maxSinglePartitionBytes") == Long.MaxValue.toString)
+        assert(scopeState._2.size == before._2.size + 1)
         throw new IllegalStateException("body failed")
       })
       assert(e.getMessage == "body failed")
     }
-    assert(codegenConf == before)
+    assert(scopeState == before)
+    // with more partitions the scope sets nothing
+    SparkSpec.withConf(spark)("spark.sql.shuffle.partitions" -> "16") {
+      SparkScope.interpreted(spark)(assert(scopeState == before))
+    }
   }
 
   test("retractions are read off the data; the caller's flag only adds them") {
