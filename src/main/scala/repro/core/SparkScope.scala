@@ -1,8 +1,13 @@
 package repro.core
 
+import scala.reflect.ClassTag
+import org.apache.spark.TaskContext
+import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{DataFrame, SparkSession, classic}
-import org.apache.spark.sql.catalyst.plans.logical.{Expand, LocalRelation, LogicalPlan, Union}
-import org.apache.spark.sql.execution.{CoalesceExec, ExpandExec, LocalTableScanExec, SparkPlan, SparkStrategy, UnionExec}
+import org.apache.spark.sql.catalyst.plans.logical.{Aggregate, Expand, LocalRelation, LogicalPlan, Union}
+import org.apache.spark.sql.execution.{CoalesceExec, ExpandExec, LocalTableScanExec, SparkPlan, SparkPlanner,
+  SparkStrategy, UnionExec}
+import org.apache.spark.sql.execution.aggregate.{HashAggregateExec, ObjectHashAggregateExec}
 
 /** Session settings scoped to one block of work, shared by statistics
   * collection ([[repro.core.stats.TvrStats.fromData]]) and the executor
@@ -12,6 +17,7 @@ object SparkScope {
   private val WholeStage = "spark.sql.codegen.wholeStage"
   private val FactoryMode = "spark.sql.codegen.factoryMode"
   private val MaxSinglePartitionBytes = "spark.sql.maxSinglePartitionBytes"
+  private val UsePartitionEvaluator = "spark.sql.execution.usePartitionEvaluator"
 
   /** True if `spark` plans one shuffle partition: the small-input case,
     * where a job's cost is fixed per stage and per generated class. */
@@ -24,8 +30,9 @@ object SparkScope {
     * an aggregate requires, so Spark plans no exchange above it. */
   def single(df: DataFrame): DataFrame = if (onePartition(df.sparkSession)) df.coalesce(1) else df
 
-  /** Run `body` without generated code and without shuffles if `spark` has
-    * one shuffle partition, and as it is otherwise.
+  /** Run `body` without generated code, without shuffles and with less
+    * closure cleaning if `spark` has one shuffle partition, and as it is
+    * otherwise.
     *
     * Inside, whole-stage code generation is off and
     * `spark.sql.codegen.factoryMode` is `NO_CODEGEN`, so projections,
@@ -51,6 +58,18 @@ object SparkScope {
     * one full outer join, in [[repro.core.tvr.DeltaOps.transitions]], is
     * coalesced there ([[single]]).
     *
+    * Aggregates and sort-merge joins planned inside build their RDDs
+    * without Spark's closure cleaner, which reads the whole class file that
+    * defines each closure, with no cache, every time an RDD is built over
+    * it:
+    *  - `OnePartitionPlans` plans each aggregate as Spark does, with
+    *    `ObjectHashAggregateExec` in place of `HashAggregateExec`: the same
+    *    fields, but its RDD is built by a Spark-internal call that skips the
+    *    cleaner;
+    *  - `spark.sql.execution.usePartitionEvaluator` is on, so a sort-merge
+    *    join zips its inputs with a partition evaluator, not a closure.
+    * A job run with [[runJob]] and a named function skips the cleaner too.
+    *
     * All settings are restored afterwards, also when `body` throws.
     * [[repro.core.exec.Executor.run]] and the aggregate job of
     * [[repro.core.stats.TvrStats.fromData]] run inside this scope.
@@ -58,24 +77,50 @@ object SparkScope {
   def interpreted[A](spark: SparkSession)(body: => A): A =
     if (!onePartition(spark)) body
     else withConf(spark)(WholeStage -> "false", FactoryMode -> "NO_CODEGEN",
-                         MaxSinglePartitionBytes -> Long.MaxValue.toString) {
-      val methods = spark.asInstanceOf[classic.SparkSession].experimental
+                         MaxSinglePartitionBytes -> Long.MaxValue.toString, UsePartitionEvaluator -> "true") {
+      val session = spark.asInstanceOf[classic.SparkSession]
+      val methods = session.experimental
       val before = methods.extraStrategies
-      methods.extraStrategies = before :+ OnePartitionPlans
+      methods.extraStrategies = before :+ new OnePartitionPlans(session.sessionState.planner)
       try body finally methods.extraStrategies = before
     }
 
   /** Spark's own plans of the operators whose plan does not report one
-    * partition, under `CoalesceExec(1, …)`, for [[interpreted]]. A coalesce
-    * is narrow: one task reads every input partition, and no row is
-    * shuffled. */
-  private object OnePartitionPlans extends SparkStrategy {
-    def apply(plan: LogicalPlan): Seq[SparkPlan] = (plan match {
-      case u: Union  => Some(UnionExec(u.children.map(planLater)))
-      case e: Expand => Some(ExpandExec(e.projections, e.output, planLater(e.child)))
-      case r: LocalRelation if r.data.isEmpty => Some(LocalTableScanExec(r.output, r.data, r.stream))
-      case _         => None
-    }).map(CoalesceExec(1, _)).toSeq
+    * partition, under `CoalesceExec(1, …)`, and of aggregates with no
+    * closure cleaning, for [[interpreted]]. A coalesce is narrow: one task
+    * reads every input partition, and no row is shuffled. An aggregate is
+    * planned by `planner`'s own aggregation strategy, with each
+    * `HashAggregateExec` (whose RDD is built through the public
+    * `mapPartitionsWithIndex`, so the cleaner reads its 117 KB class each
+    * time) replaced by an `ObjectHashAggregateExec` of the same fields. */
+  private final class OnePartitionPlans(planner: SparkPlanner) extends SparkStrategy {
+    def apply(plan: LogicalPlan): Seq[SparkPlan] = plan match {
+      case u: Union  => Seq(CoalesceExec(1, UnionExec(u.children.map(planLater))))
+      case e: Expand => Seq(CoalesceExec(1, ExpandExec(e.projections, e.output, planLater(e.child))))
+      case r: LocalRelation if r.data.isEmpty => Seq(CoalesceExec(1, LocalTableScanExec(r.output, r.data, r.stream)))
+      case a: Aggregate => planner.Aggregation(a).map(_.transformUp {
+        case h: HashAggregateExec =>
+          ObjectHashAggregateExec(h.requiredChildDistributionExpressions, h.isStreaming, h.numShufflePartitions,
+            h.groupingExpressions, h.aggregateExpressions, h.aggregateAttributes, h.initialInputBufferOffset,
+            h.resultExpressions, h.child)
+      })
+      case _ => Nil
+    }
+  }
+
+  /** Run one job over every partition of `rdd`, and return what `f` gives
+    * for each partition, in partition order. An exception thrown by `f`
+    * reaches the caller.
+    *
+    * Spark's closure cleaner returns at once for a function whose class is
+    * not a closure, so pass `f` as a named function object: a lambda here
+    * makes the cleaner read the class that defines it, and Spark's own
+    * `runJob(rdd, Iterator[T] => U)` wraps `f` in a lambda of
+    * `SparkContext`, whose class is read too. */
+  def runJob[T, U: ClassTag](rdd: RDD[T], f: (TaskContext, Iterator[T]) => U): IndexedSeq[U] = {
+    val results = new Array[U](rdd.partitions.length)
+    rdd.sparkContext.runJob(rdd, f, (i: Int, u: U) => results(i) = u)
+    results.toIndexedSeq
   }
 
   /** Run `body` with the runtime SQL confs `pairs` set, then restore each

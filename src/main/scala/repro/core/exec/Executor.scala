@@ -1,6 +1,7 @@
 package repro.core.exec
 
 import scala.collection.mutable
+import org.apache.spark.TaskContext
 import org.apache.spark.sql.{DataFrame, SparkSession, classic}
 import org.apache.spark.sql.columnar.CachedBatch
 import org.apache.spark.sql.execution.{CollectMetricsExec, SQLExecution}
@@ -49,8 +50,8 @@ final case class ExecReport(
   * the column buffers it caches, under the call site `t=<t> node (g,t) <op>`.
   *
   * When the session has one shuffle partition, the inputs are small and
-  * each job's cost is fixed per stage and per generated class, not per row.
-  * Three things then cut that cost:
+  * each job's cost is fixed per stage, per generated class and per closure
+  * Spark cleans, not per row. Four things then cut that cost:
   *  - The frames Spark plans over are coalesced to one partition
   *    ([[SparkScope.single]]): each input delta once, here, since an input
   *    may span several partitions, and each kept node and collapsed output
@@ -70,6 +71,11 @@ final case class ExecReport(
   *    class takes longer than the compiled code saves on a few thousand rows.
   *    A pass would compile more classes than Spark's code cache holds, so
   *    without this each pass compiled them all again.
+  *  - Aggregates, sort-merge joins and count jobs skip Spark's closure
+  *    cleaner, which reads the whole class file that defines each closure,
+  *    with no cache, each time: the same scope plans those operators with
+  *    ones that pass no closure, and each count job runs a named function
+  *    through [[SparkScope.runJob]].
   * Rows, row counts and job counts are the same either way; with more
   * shuffle partitions none of this is done.
   */
@@ -114,8 +120,8 @@ final class Executor(spark: SparkSession, plan: IncrementalPlan,
     val cache = session.sharedState.cacheManager.lookupCachedData(d.asInstanceOf[classic.Dataset[_]])
       .getOrElse(throw new IllegalStateException("a persisted frame is not in the cache"))
       .cachedRepresentation.cacheBuilder
-    val n = SQLExecution.withSQLConfPropagated(session)(spark.sparkContext
-      .runJob(cache.cachedColumnBuffers, (bs: Iterator[CachedBatch]) => bs.map(_.numRows.toLong).sum).sum)
+    val n = SQLExecution.withSQLConfPropagated(session)(
+      SparkScope.runJob(cache.cachedColumnBuffers, Executor.BatchRows).sum)
     for ((name, row) <- CollectMetricsExec.collect(cache.cachedPlan); r <- observed.get(name))
       counts(r.node) = row.getLong(0)
     (d, n)
@@ -322,6 +328,12 @@ final class Executor(spark: SparkSession, plan: IncrementalPlan,
 }
 
 object Executor {
+  /** The rows of one partition's cached column buffers: a named function,
+    * which Spark's closure cleaner does not parse ([[SparkScope.runJob]]). */
+  private object BatchRows extends ((TaskContext, Iterator[CachedBatch]) => Long) with Serializable {
+    def apply(task: TaskContext, batches: Iterator[CachedBatch]): Long = batches.map(_.numRows.toLong).sum
+  }
+
   /** The plan nodes an [[Executor]] persists and counts in a job of their
     * own: state roots, nodes read by more than one consumer (over all time
     * steps), inputs of HOV init and step (the trigger branches on their row

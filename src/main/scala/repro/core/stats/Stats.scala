@@ -1,6 +1,9 @@
 package repro.core.stats
 
-import org.apache.spark.sql.DataFrame
+import org.apache.spark.TaskContext
+import org.apache.spark.sql.{DataFrame, classic}
+import org.apache.spark.sql.catalyst.InternalRow
+import org.apache.spark.sql.execution.SQLExecution
 import org.apache.spark.sql.functions._
 import repro.core.SparkScope
 import repro.core.algebra._
@@ -41,6 +44,12 @@ final case class TvrStats(
 }
 
 object TvrStats {
+  /** A copy of each row of one partition: a named function, which Spark's
+    * closure cleaner does not parse ([[SparkScope.runJob]]). */
+  private object CopyRows extends ((TaskContext, Iterator[InternalRow]) => Array[InternalRow]) with Serializable {
+    def apply(task: TaskContext, rows: Iterator[InternalRow]): Array[InternalRow] = rows.map(_.copy()).toArray
+  }
+
   /** Exact statistics from real per-time delta DataFrames, in one aggregate
     * job: the deltas are tagged with their index and unioned, and a single
     * `agg` counts the rows of each delta, the distinct values of each of
@@ -54,7 +63,12 @@ object TvrStats {
     * one stage ([[SparkScope.interpreted]]): one aggregate over a few
     * thousand rows compiles more than it computes, and the union of the
     * deltas and Spark's expand for several distinct counts are planned
-    * under one coalesce, so no exchange regroups them.
+    * under one coalesce, so no exchange regroups them. The aggregate is
+    * planned without closure cleaning there, and the job runs through
+    * [[SparkScope.runJob]] in place of `collect()`, whose closure would make
+    * Spark's cleaner read `RDD`'s class file each time. It runs under a SQL
+    * execution id of its own, as `collect()` does, so query listeners see
+    * the query.
     */
   def fromData(deltas: Vector[DataFrame], distinctCols: Seq[String],
                hasRetractions: Boolean = false): TvrStats = {
@@ -64,7 +78,10 @@ object TvrStats {
     val aggs = deltas.indices.map(i => coalesce(sum(when(col(tag) === i, 1L)), lit(0L))) ++
       distinctCols.map(c => countDistinct(col(c))) :+
       coalesce(max(col(Delta.MULT) < 0), lit(false))
-    val row = SparkScope.interpreted(all.sparkSession)(all.agg(aggs.head, aggs.tail: _*).collect()(0))
+    val row = SparkScope.interpreted(all.sparkSession) {
+      val qe = all.agg(aggs.head, aggs.tail: _*).asInstanceOf[classic.Dataset[_]].queryExecution
+      SQLExecution.withNewExecutionId(qe, Some("collect"))(SparkScope.runJob(qe.toRdd, CopyRows).flatten.head)
+    }
     val n = deltas.size
     TvrStats(deltas.indices.map(row.getLong(_).toDouble).toVector,
       distinctCols.indices.map(j => distinctCols(j) -> row.getLong(n + j).toDouble).toMap,

@@ -2,6 +2,7 @@ package repro.core
 
 import org.apache.spark.sql.{DataFrame, classic}
 import org.apache.spark.sql.execution.WholeStageCodegenExec
+import org.apache.spark.sql.execution.aggregate.HashAggregateExec
 import org.apache.spark.sql.execution.exchange.ShuffleExchangeExec
 import org.apache.spark.metrics.source.CodegenMetrics
 import repro.SparkSpec
@@ -20,6 +21,8 @@ import repro.queries.TpcdsLite._
   * steps, and oracle-check every output against batch DuckDB. The measured
   * per-time rows of each case are pinned in `exec-pins.txt`, so a change
   * to the executor or its cost accounting must reproduce them exactly.
+  * The grid runs at one shuffle partition, as the benchmark does; a subset
+  * runs again at 16 ([[gridTest]]).
   */
 class IncrementalLiteSpec extends SparkSpec {
   private val SF = 0.001
@@ -95,6 +98,24 @@ class IncrementalLiteSpec extends SparkSpec {
     assert(golden.get(c.key).contains(rows), s"${c.key} measured $rows")
   }
 
+  /** `body` at `parts` shuffle partitions, with adaptive execution on only
+    * above one (as the benchmark runs at one), and from an empty cache, so
+    * no frame cached by an earlier case stands in for a subplan. */
+  private def atPartitions[A](parts: Int)(body: => A): A =
+    SparkSpec.withConf(spark)("spark.sql.shuffle.partitions" -> parts.toString,
+                              "spark.sql.adaptive.enabled" -> (parts > 1).toString) {
+      spark.catalog.clearCache()
+      body
+    }
+
+  /** A grid test at one shuffle partition; with `sixteen`, also at 16
+    * partitions as "<name> at 16 partitions", so that path stays tested by
+    * one case per query and by the |T| = 3 cases. */
+  private def gridTest(name: String, sixteen: Boolean = false)(body: => Unit): Unit = {
+    test(name)(atPartitions(1)(body))
+    if (sixteen) test(s"$name at 16 partitions")(atPartitions(16)(body))
+  }
+
   private def runCase(qName: String, pattern: Pattern, methodName: String,
                       methods: Methods, ivm: Boolean = false, k: Int = 2): Unit = {
     val c = planCase(qName, pattern, methodName, methods, ivm, k)
@@ -110,37 +131,37 @@ class IncrementalLiteSpec extends SparkSpec {
 
   // q93 (simple outer join + agg): full grid of patterns x methods
   for (p <- TpcdsLite.patterns; (mn, m) <- allMethods) {
-    test(s"q93 / ${p.name} / $mn") { runCase("q93", p, mn, m) }
+    gridTest(s"q93 / ${p.name} / $mn", sixteen = p == DeltaRS && mn == "Tempura") { runCase("q93", p, mn, m) }
   }
 
   // q40 (outer join + 3 dims): HOV-relevant; with and without retractions
   for (p <- Seq(DeltaBig, DeltaRS); (mn, m) <- Seq(
     "Tempura" -> Methods.full, "HOV" -> Methods.hov, "OJV" -> Methods.ojv)) {
-    test(s"q40 / ${p.name} / $mn") { runCase("q40", p, mn, m) }
+    gridTest(s"q40 / ${p.name} / $mn", sixteen = p == DeltaBig && mn == "Tempura") { runCase("q40", p, mn, m) }
   }
 
   // q20 (star inner joins + agg): delta-small favours HOV
   for ((mn, m) <- allMethods) {
-    test(s"q20 / delta-small / $mn") { runCase("q20", DeltaSmall, mn, m) }
+    gridTest(s"q20 / delta-small / $mn", sixteen = mn == "Tempura") { runCase("q20", DeltaSmall, mn, m) }
   }
 
   // q10 / q35 (semi + multiple lo joins)
-  test("q10 / delta-big / Tempura") { runCase("q10", DeltaBig, "Tempura", Methods()) }
-  test("q10 / delta-big / IM-2") {
+  gridTest("q10 / delta-big / Tempura", sixteen = true) { runCase("q10", DeltaBig, "Tempura", Methods()) }
+  gridTest("q10 / delta-big / IM-2") {
     runCase("q10", DeltaBig, "IM-2", Methods.im2)
   }
-  test("q35 / delta-big / Tempura") { runCase("q35", DeltaBig, "Tempura", Methods()) }
+  gridTest("q35 / delta-big / Tempura", sixteen = true) { runCase("q35", DeltaBig, "Tempura", Methods()) }
 
   // q80 (three outer-join channels + union)
-  test("q80 / delta-big / Tempura") { runCase("q80", DeltaBig, "Tempura", Methods()) }
+  gridTest("q80 / delta-big / Tempura", sixteen = true) { runCase("q80", DeltaBig, "Tempura", Methods()) }
 
   // IVM setting: outputs at every time
-  test("q93 / delta-big / Tempura under IVM (outputs at every run)") {
+  gridTest("q93 / delta-big / Tempura under IVM (outputs at every run)") {
     runCase("q93", DeltaBig, "Tempura", Methods(), ivm = true)
   }
   // three steps: a state loads another state saved at the same time
   for (q <- Seq("q93", "q40")) {
-    test(s"$q / delta-RS / Tempura under IVM, |T|=3 (outputs at every run)") {
+    gridTest(s"$q / delta-RS / Tempura under IVM, |T|=3 (outputs at every run)", sixteen = true) {
       runCase(q, DeltaRS, "Tempura", Methods.full, ivm = true, k = 3)
     }
   }
@@ -148,7 +169,8 @@ class IncrementalLiteSpec extends SparkSpec {
   // MIN/MAX keep no aggregate state: the aggregate is recomputed from the
   // snapshot of its input wherever the plan needs it
   for (q <- minMaxQueries.keys.toSeq.sorted; (mn, m) <- allMethods; ivm <- Seq(false, true)) {
-    test(s"$q / delta-RS / $mn${if (ivm) " under IVM" else ""}: plans, runs and matches DuckDB") {
+    gridTest(s"$q / delta-RS / $mn${if (ivm) " under IVM" else ""}: plans, runs and matches DuckDB",
+             sixteen = mn == "Tempura" && !ivm) {
       val c = planCase(q, DeltaRS, mn, m, ivm)
       checkOutputs(c, c.executor.run())
     }
@@ -158,7 +180,7 @@ class IncrementalLiteSpec extends SparkSpec {
   // that DuckDB returns, on the other side of a 6-decimal rounding boundary
   // (at 16 partitions, customer 17 at t1: 110.725312 against 110.725313):
   // the oracle compares numbers to within 1e-6
-  test("q93-avg / delta-RS / Tempura under IVM matches DuckDB to within 1e-6") {
+  gridTest("q93-avg / delta-RS / Tempura under IVM matches DuckDB to within 1e-6", sixteen = true) {
     val c = planCase("q93-avg", DeltaRS, "Tempura", Methods.full, ivm = true)
     checkOutputs(c, c.executor.run())
   }
@@ -172,8 +194,7 @@ class IncrementalLiteSpec extends SparkSpec {
   for ((parts, aqe) <- Seq(1 -> false, 16 -> true); ivm <- Seq(false, true)) {
     val mode = if (ivm) "IVM" else "PDW"
     test(s"q93 / empty fact deltas at t1 / Tempura / $mode at $parts partitions matches DuckDB") {
-      SparkSpec.withConf(spark)("spark.sql.shuffle.partitions" -> parts.toString) {
-        spark.catalog.clearCache()
+      atPartitions(parts) {
         val c = planCase("q93", DeltaBig, "Tempura", Methods.full, ivm, edit = emptyFactsAtT1)
         val (exec, jobs) = SparkSpec.jobsOf(spark, adaptive = aqe)(c.executor.run())
         checkOutputs(c, exec)
@@ -198,14 +219,14 @@ class IncrementalLiteSpec extends SparkSpec {
   // partitions, and the session's code generation settings are back
   // afterwards. Every job runs in one stage: the cached plan of every kept
   // node and output, at every time step, has no exchange and no generated
-  // stage. A run compiles so few classes that the next run finds them all
+  // stage, and no hash aggregate, whose RDD Spark builds through its closure
+  // cleaner. A run compiles so few classes that the next run finds them all
   // in Spark's code cache
   test("one shuffle partition: same rows, outputs and jobs; one stage per job, no exchange or generated stage") {
     val codegen = Seq("spark.sql.codegen.wholeStage", "spark.sql.codegen.factoryMode")
     val before = codegen.map(spark.conf.getOption)
     val cacheManager = spark.asInstanceOf[classic.SparkSession].sharedState.cacheManager
-    SparkSpec.withConf(spark)("spark.sql.shuffle.partitions" -> "1",
-                              "spark.sql.adaptive.enabled" -> "false") {
+    atPartitions(1) {
       for ((q, p, mn, m, ivm, k) <- Seq(
         ("q93", DeltaBig, "Tempura", Methods.full, false, 2),
         ("q40", DeltaRS, "HOV", Methods.hov, false, 2),
@@ -232,6 +253,7 @@ class IncrementalLiteSpec extends SparkSpec {
           val found = cached.cachedRepresentation.cacheBuilder.cachedPlan.collect {
             case e: ShuffleExchangeExec => e
             case w: WholeStageCodegenExec => w
+            case h: HashAggregateExec => h
           }
           assert(found.isEmpty, s"${c.key}: $name plans $found")
         }

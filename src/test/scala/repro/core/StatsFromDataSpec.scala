@@ -1,6 +1,7 @@
 package repro.core
 
 import org.apache.spark.sql.{AnalysisException, DataFrame, classic}
+import org.apache.spark.sql.execution.aggregate.HashAggregateExec
 import org.apache.spark.sql.execution.exchange.ShuffleExchangeExec
 import org.apache.spark.sql.functions.{col, countDistinct}
 import repro.SparkSpec
@@ -10,9 +11,10 @@ import repro.core.tvr.Delta
 import repro.queries.{LiteQueries, TpcdsLite}
 
 /** [[TvrStats.fromData]] against a per-column reference, and its cost in
-  * Spark jobs: one per table. At one shuffle partition it runs interpreted
-  * and with no exchange ([[SparkScope.interpreted]]), with the same result
-  * and job count.
+  * Spark jobs: one per table. At one shuffle partition it runs interpreted,
+  * with no exchange and with no hash aggregate, whose RDD Spark builds
+  * through its closure cleaner ([[SparkScope.interpreted]]), with the same
+  * result and job count.
   */
 class StatsFromDataSpec extends SparkSpec {
   import spark.implicits._
@@ -26,9 +28,10 @@ class StatsFromDataSpec extends SparkSpec {
   }
 
   /** What [[SparkScope.interpreted]] sets: the code generation settings,
-    * the one-partition size limit and the extra planner strategies. */
+    * the one-partition size limit, partition evaluators and the extra
+    * planner strategies. */
   private val scoped = Seq("spark.sql.codegen.wholeStage", "spark.sql.codegen.factoryMode",
-                           "spark.sql.maxSinglePartitionBytes")
+                           "spark.sql.maxSinglePartitionBytes", "spark.sql.execution.usePartitionEvaluator")
   private def scopeState = (scoped.map(spark.conf.getOption),
                             spark.asInstanceOf[classic.SparkSession].experimental.extraStrategies)
   private def atOnePartition[A](body: => A): A =
@@ -49,8 +52,11 @@ class StatsFromDataSpec extends SparkSpec {
       assert(stats == many)
       assert(jobs == 1)
       assert(plans.size == 1)
-      val exchanges = plans.head.collect { case e: ShuffleExchangeExec => e }
-      assert(exchanges.isEmpty, plans.head)
+      val found = plans.head.collect {
+        case e: ShuffleExchangeExec => e
+        case h: HashAggregateExec => h
+      }
+      assert(found.isEmpty, plans.head)
       assert(scopeState == before)
     }
   }
@@ -77,6 +83,7 @@ class StatsFromDataSpec extends SparkSpec {
         assert(spark.conf.get("spark.sql.codegen.wholeStage") == "false")
         assert(spark.conf.get("spark.sql.codegen.factoryMode") == "NO_CODEGEN")
         assert(spark.conf.get("spark.sql.maxSinglePartitionBytes") == Long.MaxValue.toString)
+        assert(spark.conf.get("spark.sql.execution.usePartitionEvaluator") == "true")
         assert(scopeState._2.size == before._2.size + 1)
         throw new IllegalStateException("body failed")
       })
