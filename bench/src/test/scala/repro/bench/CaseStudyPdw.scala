@@ -7,7 +7,7 @@ import repro.core.Harness
 import repro.core.cost.WeightedCost
 import repro.core.exec.Executor
 import repro.core.opt.Tempura
-import repro.core.tvr.Delta
+import repro.core.tvr.{Delta, Plans}
 import repro.queries.{TpcdsLite, WorkloadGen}
 
 /** Fig. 6(e)(f) + Fig. 7(h)(i): the progressive-data-warehouse case study.
@@ -39,7 +39,7 @@ class CaseStudyPdw extends SparkSpec {
     val pExec = new Executor(spark, pRes.plan, cached, 3).run()
     // TDW: everything arrives at 24:00; batch plan
     val batched = cached.view.mapValues { ds =>
-      Vector(Delta.empty(ds.head), Delta.empty(ds.head), Delta.collapse(Delta.unionAll(ds)))
+      Vector.fill(2)(Plans.on(Delta.attach(ds.head))(Delta.empty)) :+ Delta.collapse(Delta.unionAll(ds))
     }.toMap
     val tProb = Harness.problemFromData(job.query, batched, Seq(2), cf)
     val tRes = Tempura.optimize(tProb)

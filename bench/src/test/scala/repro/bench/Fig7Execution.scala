@@ -7,7 +7,7 @@ import repro.core.Harness
 import repro.core.cost.{VectorCost, WeightedCost}
 import repro.core.exec.Executor
 import repro.core.opt.Tempura
-import repro.core.tvr.Delta
+import repro.core.tvr.{Delta, Plans}
 import repro.queries.{LiteQueries, TpcdsLite}
 import repro.queries.TpcdsLite._
 
@@ -131,7 +131,7 @@ class Fig7Execution extends SparkSpec {
         // all data arriving at the last step: the batch baseline
         val in = grid.inputs(q, DeltaBig)
         val batched = in.view.mapValues { ds =>
-          Vector(Delta.empty(ds.head), Delta.collapse(Delta.unionAll(ds)))
+          Vector(Plans.on(Delta.attach(ds.head))(Delta.empty), Delta.collapse(Delta.unionAll(ds)))
         }.toMap
         val p = Harness.problemFromData(LiteQueries.byName(q), batched, Seq(1),
           WeightedCost(pdwW))

@@ -8,7 +8,7 @@ import repro.core.exec.{ExecReport, Executor}
 import repro.core.opt.{OptResult, Tempura}
 import repro.core.rules.{IqpProblem, Methods, OptFlags}
 import repro.core.stats.TvrStats
-import repro.core.tvr.Delta
+import repro.core.tvr.{Delta, Plans}
 
 /** Shared helpers for optimizer end-to-end tests and benches. */
 object Harness {
@@ -47,9 +47,9 @@ object Harness {
                    inputs: Map[String, Vector[DataFrame]]): Unit =
     for ((t, out) <- exec.outputs) {
       val tables = inputs.toSeq.map { case (tb, deltas) =>
-        tb -> Delta.expand(Delta.collapse(Delta.unionAll(deltas.take(t + 1).map(Delta.attach))))
+        tb -> Plans.on(deltas.take(t + 1).map(Delta.attach))(ps => Delta.expand(Delta.unionAll(ps)))
       }
-      try Oracle.assertEquivalent(Delta.expand(out), query.toSql, tables: _*)
+      try Oracle.assertEquivalent(Plans.on(out)(Delta.expand), query.toSql, tables: _*)
       catch { case e: IllegalArgumentException =>
         throw new IllegalArgumentException(s"output at t=$t: ${e.getMessage}", e) }
     }

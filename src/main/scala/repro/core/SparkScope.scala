@@ -3,8 +3,10 @@ package repro.core
 import scala.reflect.ClassTag
 import org.apache.spark.TaskContext
 import org.apache.spark.rdd.RDD
-import org.apache.spark.sql.{DataFrame, SparkSession, classic}
-import org.apache.spark.sql.catalyst.plans.logical.{Aggregate, Expand, LocalRelation, LogicalPlan, Union}
+import org.apache.spark.sql.{SparkSession, classic}
+import org.apache.spark.sql.catalyst.plans.FullOuter
+import org.apache.spark.sql.catalyst.plans.logical.{Aggregate, Expand, Join, LocalRelation, LogicalPlan, Repartition,
+  Union}
 import org.apache.spark.sql.execution.{CoalesceExec, ExpandExec, LocalTableScanExec, SparkPlan, SparkPlanner,
   SparkStrategy, UnionExec}
 import org.apache.spark.sql.execution.aggregate.{HashAggregateExec, ObjectHashAggregateExec}
@@ -24,11 +26,12 @@ object SparkScope {
   def onePartition(spark: SparkSession): Boolean =
     spark.asInstanceOf[classic.SparkSession].sessionState.conf.numShufflePartitions == 1
 
-  /** `df` coalesced to one partition if its session has one shuffle
-    * partition, and as it is otherwise. `coalesce(1)` is a narrow dependency
-    * whose `SinglePartition` output satisfies every distribution a join or
-    * an aggregate requires, so Spark plans no exchange above it. */
-  def single(df: DataFrame): DataFrame = if (onePartition(df.sparkSession)) df.coalesce(1) else df
+  /** `p` coalesced to one partition if `spark` has one shuffle partition,
+    * and as it is otherwise. `coalesce(1)` is a narrow dependency whose
+    * `SinglePartition` output satisfies every distribution a join or an
+    * aggregate requires, so Spark plans no exchange above it. */
+  def single(spark: SparkSession)(p: LogicalPlan): LogicalPlan =
+    if (onePartition(spark)) Repartition(1, shuffle = false, p) else p
 
   /** Run `body` without generated code, without shuffles and with less
     * closure cleaning if `spark` has one shuffle partition, and as it is
@@ -48,15 +51,14 @@ object SparkScope {
     * join with a one-partition side whose estimated size exceeds
     * `spark.sql.maxSinglePartitionBytes`. Inside the scope:
     *  - `OnePartitionPlans` plans a union, an expand (Spark's rewrite of
-    *    several distinct aggregates) and an empty local relation (what
-    *    Spark leaves of a plan over an empty input) as Spark's own operator
+    *    several distinct aggregates), an empty local relation (what Spark
+    *    leaves of a plan over an empty input) and a full outer join (whose
+    *    output reports no partitioning, as in
+    *    [[repro.core.tvr.DeltaOps.transitions]]) as Spark's own operator
     *    under `CoalesceExec(1, …)`;
     *  - `spark.sql.maxSinglePartitionBytes` is `Long.MaxValue`: without
     *    cost-based optimization, join size estimates multiply, and would
     *    trip the limit on a few thousand rows.
-    * A full outer join's output does not report one partition either; the
-    * one full outer join, in [[repro.core.tvr.DeltaOps.transitions]], is
-    * coalesced there ([[single]]).
     *
     * Aggregates and sort-merge joins planned inside build their RDDs
     * without Spark's closure cleaner, which reads the whole class file that
@@ -86,7 +88,8 @@ object SparkScope {
     }
 
   /** Spark's own plans of the operators whose plan does not report one
-    * partition, under `CoalesceExec(1, …)`, and of aggregates with no
+    * partition (a full outer join planned by `planner`'s join strategy),
+    * under `CoalesceExec(1, …)`, and of aggregates with no
     * closure cleaning, for [[interpreted]]. A coalesce is narrow: one task
     * reads every input partition, and no row is shuffled. An aggregate is
     * planned by `planner`'s own aggregation strategy, with each
@@ -98,6 +101,7 @@ object SparkScope {
       case u: Union  => Seq(CoalesceExec(1, UnionExec(u.children.map(planLater))))
       case e: Expand => Seq(CoalesceExec(1, ExpandExec(e.projections, e.output, planLater(e.child))))
       case r: LocalRelation if r.data.isEmpty => Seq(CoalesceExec(1, LocalTableScanExec(r.output, r.data, r.stream)))
+      case j: Join if j.joinType == FullOuter => planner.JoinSelection(j).map(CoalesceExec(1, _))
       case a: Aggregate => planner.Aggregation(a).map(_.transformUp {
         case h: HashAggregateExec =>
           ObjectHashAggregateExec(h.requiredChildDistributionExpressions, h.isStreaming, h.numShufflePartitions,

@@ -3,6 +3,7 @@ package repro.core.exec
 import scala.collection.mutable
 import org.apache.spark.TaskContext
 import org.apache.spark.sql.{DataFrame, SparkSession, classic}
+import org.apache.spark.sql.catalyst.plans.logical.LogicalPlan
 import org.apache.spark.sql.columnar.CachedBatch
 import org.apache.spark.sql.execution.{CollectMetricsExec, SQLExecution}
 import org.apache.spark.sql.functions.{count, lit}
@@ -11,13 +12,13 @@ import repro.core.algebra._
 import repro.core.cost.OpCost
 import repro.core.memo._
 import repro.core.opt._
-import repro.core.tvr.{Delta, DeltaOps}
+import repro.core.tvr.{Delta, DeltaOps, Plans}
 
-/** Runtime value: a delta-encoded relation with the plan node that produced
-  * it (which keys its row count), or a HOV view bundle (with the trigger
-  * work that built it). */
+/** Runtime value: a delta-encoded relation's Catalyst plan with the plan
+  * node that produced it (which keys its row count), or a HOV view bundle
+  * (with the trigger work that built it). */
 sealed trait RtVal
-final case class Rel(df: DataFrame, node: (Int, Int)) extends RtVal
+final case class Rel(plan: LogicalPlan, node: (Int, Int)) extends RtVal
 final case class HovRt(leafCur: Vector[DataFrame],
                        views: Vector[Option[DataFrame]],
                        contribution: DataFrame,
@@ -43,11 +44,19 @@ final case class ExecReport(
 /** Interprets an [[IncrementalPlan]] over real per-time input deltas.
   *
   * Only the nodes in [[Executor.kept]] are persisted and counted, one job
-  * each; every other node stays lazy inside its one consumer's frame, and
+  * each; every other node stays lazy inside its one consumer's plan, and
   * its row count is observed in the job that materializes that consumer.
   * Work is added up at the end of each time step, once all its counts are in.
-  * A kept node is planned once, by `persist()`: its job sums the row counts of
-  * the column buffers it caches, under the call site `t=<t> node (g,t) <op>`.
+  *
+  * [[Delta]] and [[DeltaOps]] build Catalyst plans, not DataFrames: a lazy
+  * node is a plan fragment under a row-count observer ([[Plans.observe]])
+  * inside its consumer's plan, and the executor makes one frame per kept
+  * node and per output ([[Plans.frame]]), so Spark analyses one plan each,
+  * where a DataFrame per operator call was analysed on the spot. A kept
+  * node is then planned once, by `persist()`: its job sums the row counts
+  * of the column buffers it caches, under the call site
+  * `t=<t> node (g,t) <op>`. HOV init and step keep their view bundles as
+  * persisted frames, one per leaf, view and contribution.
   *
   * When the session has one shuffle partition, the inputs are small and
   * each job's cost is fixed per stage, per generated class and per closure
@@ -61,11 +70,11 @@ final case class ExecReport(
   *    narrow dependency whose `SinglePartition` output satisfies every
   *    clustered or all-tuples distribution, so joins and aggregates over
   *    those frames need no hash exchange.
-  *  - [[run]] runs [[SparkScope.interpreted]], which plans each union, and
-  *    each empty relation left of an empty delta, under one coalesce too,
-  *    and lifts the size limit above which Spark shuffles a one-partition
-  *    join side; [[DeltaOps.transitions]] coalesces its full outer join.
-  *    So no plan holds an exchange, and each job runs in one stage.
+  *  - [[run]] runs [[SparkScope.interpreted]], which plans each union,
+  *    each empty relation left of an empty delta and the full outer join of
+  *    [[DeltaOps.transitions]] under one coalesce too, and lifts the size
+  *    limit above which Spark shuffles a one-partition join side. So no
+  *    plan holds an exchange, and each job runs in one stage.
   *  - The same scope turns generated code off: no whole-stage code and no
   *    generated projection, predicate or ordering classes, since compiling a
   *    class takes longer than the compiled code saves on a few thousand rows.
@@ -83,8 +92,12 @@ final class Executor(spark: SparkSession, plan: IncrementalPlan,
                      deltas: Map[String, Vector[DataFrame]], numTimes: Int) {
   plan.validate(outputTimes = Nil) // every load resolves, before any job runs
   private val session = spark.asInstanceOf[classic.SparkSession]
-  private val inputs = deltas.map { case (table, ds) => table -> ds.map(SparkScope.single) }
+  private val inputs = deltas.map { case (table, ds) =>
+    table -> ds.map(d => SparkScope.single(spark)(Delta.attach(Plans.of(d))))
+  }
   private val cache = mutable.HashMap[(Int, Int), RtVal]()
+  /** The persisted frames of the kept nodes evaluated so far. */
+  private val frames = mutable.HashMap[(Int, Int), DataFrame]()
   private val rowsByTime = Array.fill(numTimes)(0.0)
   private val measuredKeys = mutable.HashSet[(Int, Int)]()
   private val stateSizes = mutable.LinkedHashMap[(Int, Int), Double]()
@@ -98,25 +111,28 @@ final class Executor(spark: SparkSession, plan: IncrementalPlan,
   /** Work of the current time step, added in evaluation order at its end. */
   private val pending = mutable.ArrayBuffer[() => Unit]()
 
+  private def frame(p: LogicalPlan): DataFrame = Plans.frame(spark, p)
+
   /** The relation of plan node `node`: persisted and counted if it is kept,
     * otherwise lazy, with its row count observed under its own name. */
-  private def rel(node: (Int, Int), df: DataFrame): Rel =
+  private def rel(node: (Int, Int), p: LogicalPlan): Rel =
     if (kept(node)) {
-      val (d, n) = materialize(df)
+      val (d, n) = materialize(p)
       counts(node) = n
-      Rel(d, node)
+      frames(node) = d
+      Rel(Plans.of(d), node)
     } else {
       val name = s"rows${node._1}@${node._2}"
-      val r = Rel(df.observe(name, count(lit(1)).as("rows")), node)
+      val r = Rel(Plans.observe(p, name, count(lit(1)).as("rows")), node)
       observed(name) = r
       r
     }
 
-  /** Persist `df` and count its rows in one job, over the cached column
+  /** Persist `p` and count its rows in one job, over the cached column
     * buffers it builds, under the session's SQL confs. The lazy nodes it
     * computed leave their row counts on the observers of its cached plan. */
-  private def materialize(df: DataFrame): (DataFrame, Long) = {
-    val d = SparkScope.single(df).persist()
+  private def materialize(p: LogicalPlan): (DataFrame, Long) = {
+    val d = frame(SparkScope.single(spark)(p)).persist()
     val cache = session.sharedState.cacheManager.lookupCachedData(d.asInstanceOf[classic.Dataset[_]])
       .getOrElse(throw new IllegalStateException("a persisted frame is not in the cache"))
       .cachedRepresentation.cacheBuilder
@@ -127,9 +143,9 @@ final class Executor(spark: SparkSession, plan: IncrementalPlan,
     (d, n)
   }
 
-  private def relOf(v: RtVal): DataFrame = v match {
-    case Rel(df, _) => df
-    case h: HovRt   => h.contribution
+  private def relOf(v: RtVal): LogicalPlan = v match {
+    case Rel(p, _) => p
+    case h: HovRt  => Plans.of(h.contribution)
   }
   private def rowsOf(v: RtVal): Double = v match {
     case Rel(_, node) => counts.getOrElse(node, throw new IllegalStateException(
@@ -137,11 +153,11 @@ final class Executor(spark: SparkSession, plan: IncrementalPlan,
     case h: HovRt  => h.stateRows
   }
 
-  private def scanDelta(table: String, t1: Int, t2: Int): DataFrame =
-    Delta.unionAll((t1 + 1 to t2).map(inputs(table)(_)).map(Delta.attach))
+  private def scanDelta(table: String, t1: Int, t2: Int): LogicalPlan =
+    Delta.unionAll((t1 + 1 to t2).map(inputs(table)(_)))
 
-  private def scanSnap(table: String, t: Int): DataFrame =
-    Delta.collapse(Delta.unionAll((0 to t).map(inputs(table)(_)).map(Delta.attach)))
+  private def scanSnap(table: String, t: Int): LogicalPlan =
+    Delta.collapse(Delta.unionAll((0 to t).map(inputs(table)(_))))
 
   private def eval(p: PlanNode): RtVal = cache.getOrElseUpdate((p.groupId, p.time), p match {
     case LoadState(g, t, from) =>
@@ -150,84 +166,55 @@ final class Executor(spark: SparkSession, plan: IncrementalPlan,
       v
     case Compute(g, t, op, children) =>
       val cs = children.map(eval)
-      def df(i: Int) = relOf(cs(i))
-      def mat(d: DataFrame): Rel = rel((g, t), d)
+      def in(i: Int) = relOf(cs(i))
+      def mat(p: LogicalPlan): Rel = rel((g, t), p)
       val label = s"t=$t node ($g,$t) ${op.getClass.getSimpleName}"
       val value: RtVal = SparkScope.withCallSite(spark)(label)(op match {
         case MScanSnap(tb, ti) => mat(scanSnap(tb, ti))
         case MScanDelta(tb, t1, t2) => mat(scanDelta(tb, t1, t2))
-        case MFilter(pred) => mat(DeltaOps.filter(df(0), pred))
-        case MProject(es) => mat(DeltaOps.project(df(0), es))
-        case MUnionAll(_) => mat(Delta.unionAll(children.indices.map(df)))
+        case MFilter(pred) => mat(DeltaOps.filter(in(0), pred))
+        case MProject(es) => mat(DeltaOps.project(in(0), es))
+        case MUnionAll(_) => mat(Delta.unionAll(children.indices.map(in)))
         case MJoin(kind, lk, rk, rCols) =>
           mat(kind match {
-            case Inner     => DeltaOps.joinInner(df(0), df(1), lk, rk)
-            case LeftOuter => DeltaOps.joinLeftOuterSnap(df(0), df(1), lk, rk, rCols)
-            case LeftSemi  => DeltaOps.semiSnap(df(0), df(1), lk, rk)
-            case LeftAnti  => DeltaOps.antiSnap(df(0), df(1), lk, rk)
+            case Inner     => DeltaOps.joinInner(in(0), in(1), lk, rk)
+            case LeftOuter => DeltaOps.joinLeftOuterSnap(in(0), in(1), lk, rk, rCols)
+            case LeftSemi  => DeltaOps.semiSnap(in(0), in(1), lk, rk)
+            case LeftAnti  => DeltaOps.antiSnap(in(0), in(1), lk, rk)
           })
         case MDeltaJoin(kind, lk, rk, rCols) =>
           // children [lOld, dL, rOld, dR]; the resident right-side state is
           // updated in place
-          val rNew = Delta.merge(df(2), df(3))
+          val rNew = Delta.merge(in(2), in(3))
           mat(kind match {
-            case Inner     => DeltaOps.deltaInnerJoin(df(0), df(1), rNew, df(3), lk, rk)
-            case LeftOuter => DeltaOps.deltaLeftOuter(df(0), df(1), df(2), df(3), rNew, lk, rk, rCols)
-            case LeftSemi  => DeltaOps.deltaSemi(df(0), df(1), df(2), df(3), rNew, lk, rk)
-            case LeftAnti  => DeltaOps.deltaAnti(df(0), df(1), df(2), df(3), rNew, lk, rk)
+            case Inner     => DeltaOps.deltaInnerJoin(in(0), in(1), rNew, in(3), lk, rk)
+            case LeftOuter => DeltaOps.deltaLeftOuter(in(0), in(1), in(2), in(3), rNew, lk, rk, rCols)
+            case LeftSemi  => DeltaOps.deltaSemi(in(0), in(1), in(2), in(3), rNew, lk, rk)
+            case LeftAnti  => DeltaOps.deltaAnti(in(0), in(1), in(2), in(3), rNew, lk, rk)
           })
-        case MMergeMult() => mat(Delta.merge(df(0), df(1)))
-        case MMergeDelta() => mat(Delta.unionAll(Seq(df(0), df(1))))
-        case MDiffMult() => mat(Delta.merge(df(0), Delta.negate(df(1))))
-        case MPartialAgg(keys, aggs) => mat(DeltaOps.partialAgg(df(0), keys, aggs))
-        case MMergeState(keys, aggs) => mat(DeltaOps.mergeStates(Seq(df(0), df(1)), keys, aggs))
-        case MFinalAgg(keys, aggs) => mat(DeltaOps.finalAgg(df(0), keys, aggs))
-        case MSnapAgg(keys, aggs) => mat(DeltaOps.snapshotAgg(df(0), keys, aggs))
-        case MPadProject(cols) => mat(DeltaOps.padNulls(df(0), cols))
-        case MOjvDelta(lk, rk, rCols) =>
-          // children [lOld, dL, rOld, dR, qOld]: per-table updates,
-          // ΔQ^I derived from the previous snapshot of Q (Eq. 4b)
-          import org.apache.spark.sql.functions.{col => fcol}
-          val rNew = Delta.merge(df(2), df(3))
-          val dQD = DeltaOps.joinInner(df(0), df(3), lk, rk)
-          val trans = DeltaOps.transitions(df(2), df(3), rk)
-          val qOld = df(4)
-          val rKeyInQ = rCols.head._1
-          // keys whose match count went 0 -> positive: retract the padded
-          // rows, read off the previous snapshot of Q (Eq. 4b)
-          val leftCols = Delta.dataCols(qOld).filterNot(c => rCols.exists(_._1 == c)).map(qOld(_))
-          val padded = Delta.attach(qOld).filter(qOld(rKeyInQ).isNull)
-            .select(leftCols :+ fcol(Delta.MULT): _*)
-          val pd = padded.withColumnRenamed(Delta.MULT, "__lm")
-          val gone = trans.filter(fcol("__is"))
-          val corrRetract = DeltaOps.padNulls(
-            pd.join(gone, lk.zip(rk).map { case (a, b) => pd(a) === gone(b) }.reduce(_ && _), "inner")
-              .select(Delta.dataCols(padded).map(pd(_)) :+ (-pd("__lm")).as(Delta.MULT): _*),
-            rCols)
-          // keys whose match count went positive -> 0: restore padding for
-          // every left row with that key (the previous snapshot has no
-          // padded rows for them, so source from L)
-          val ld = Delta.attach(df(0)).withColumnRenamed(Delta.MULT, "__lm")
-          val back = trans.filter(!fcol("__is"))
-          val corrRestore = DeltaOps.padNulls(
-            ld.join(back, lk.zip(rk).map { case (a, b) => ld(a) === back(b) }.reduce(_ && _), "inner")
-              .select(Delta.dataCols(df(0)).map(ld(_)) :+ ld("__lm").as(Delta.MULT): _*),
-            rCols)
-          val dQL = DeltaOps.joinLeftOuterSnap(df(1), rNew, lk, rk, rCols)
-          mat(Delta.unionAll(Seq(dQD, corrRetract, corrRestore, dQL)))
+        case MMergeMult() => mat(Delta.merge(in(0), in(1)))
+        case MMergeDelta() => mat(Delta.unionAll(Seq(in(0), in(1))))
+        case MDiffMult() => mat(Delta.merge(in(0), Delta.negate(in(1))))
+        case MPartialAgg(keys, aggs) => mat(DeltaOps.partialAgg(in(0), keys, aggs))
+        case MMergeState(keys, aggs) => mat(DeltaOps.mergeStates(Seq(in(0), in(1)), keys, aggs))
+        case MFinalAgg(keys, aggs) => mat(DeltaOps.finalAgg(in(0), keys, aggs))
+        case MSnapAgg(keys, aggs) => mat(DeltaOps.snapshotAgg(in(0), keys, aggs))
+        case MPadProject(cols) => mat(DeltaOps.padNulls(in(0), cols))
+        // children [lOld, dL, rOld, dR, qOld]
+        case MOjvDelta(lk, rk, rCols) => mat(DeltaOps.ojvDelta(in(0), in(1), in(2), in(3), in(4), lk, rk, rCols))
         case MHovInit(spec) =>
-          val leaves = children.indices.map(i => Delta.collapse(df(i)).persist()).toVector
+          val leaves = children.indices.map(i => frame(Delta.collapse(in(i))).persist()).toVector
           val views = (0 until spec.nLeaves).map { i =>
             if (i == 0) None
-            else Some(chainJoin(spec, leaves, skip = i).persist())
+            else Some(frame(chainJoin(spec, leaves.map(Plans.of), skip = i)).persist())
           }.toVector
           val vRows = views.flatten.map(_.count().toDouble).sum
           val lRows = leaves.map(_.count().toDouble).sum
           HovRt(leaves, views, null, vRows + lRows, vRows + lRows)
         case MHovStep(spec, _) =>
           hovStep(spec, cs(0).asInstanceOf[HovRt],
-            (1 until children.size).map(i => (df(i), rowsOf(cs(i)))).toVector)
-        case MHovExtract(_) => mat(cs(0).asInstanceOf[HovRt].contribution)
+            (1 until children.size).map(i => (in(i), rowsOf(cs(i)))).toVector)
+        case MHovExtract(_) => mat(Plans.of(cs(0).asInstanceOf[HovRt].contribution))
       })
       pending += (() => addRows(t, (g, t), value match {
         case h: HovRt => h.work
@@ -239,8 +226,8 @@ final class Executor(spark: SparkSession, plan: IncrementalPlan,
   private def addRows(t: Int, key: (Int, Int), v: Double): Unit =
     if (measuredKeys.add((key._1, t))) rowsByTime(t) += v
 
-  private def chainJoin(spec: HovSpec, frames: Vector[DataFrame], skip: Int,
-                        replace: Map[Int, DataFrame] = Map.empty): DataFrame = {
+  private def chainJoin(spec: HovSpec, frames: Vector[LogicalPlan], skip: Int,
+                        replace: Map[Int, LogicalPlan] = Map.empty): LogicalPlan = {
     var acc = replace.getOrElse(0, frames(0))
     for (j <- 1 until spec.nLeaves if j != skip) {
       val f = replace.getOrElse(j, frames(j))
@@ -254,48 +241,46 @@ final class Executor(spark: SparkSession, plan: IncrementalPlan,
     * views incrementally (DBToaster-style, §4.2 Eq. 5). Each delta comes
     * with its row count.
     */
-  private def hovStep(spec: HovSpec, prev: HovRt, deltas: Vector[(DataFrame, Double)]): HovRt = {
+  private def hovStep(spec: HovSpec, prev: HovRt, deltas: Vector[(LogicalPlan, Double)]): HovRt = {
     val n = spec.nLeaves
     val leafCols = spec.leafSchemas.flatten.map(_._1)
     var leaves = prev.leafCur
     var views = prev.views
     var work = 0.0
-    val contribs = mutable.ArrayBuffer[DataFrame]()
+    val contribs = mutable.ArrayBuffer[LogicalPlan]()
     for (i <- 0 until n) {
       val (di, dRows) = deltas(i)
       work += dRows
       if (dRows > 0) {
         val contrib =
-          if (i == 0) chainJoin(spec, leaves, skip = -1, replace = Map(0 -> di))
-          else DeltaOps.joinInner(views(i).get, di, spec.chain(i - 1)._1, spec.chain(i - 1)._2)
-        val c = contrib.select((leafCols :+ Delta.MULT).map(org.apache.spark.sql.functions.col): _*)
-          .persist()
+          if (i == 0) chainJoin(spec, leaves.map(Plans.of), skip = -1, replace = Map(0 -> di))
+          else DeltaOps.joinInner(Plans.of(views(i).get), di, spec.chain(i - 1)._1, spec.chain(i - 1)._2)
+        val c = frame(DeltaOps.project(contrib, leafCols.map(c => c -> Col(c)))).persist()
         work += c.count().toDouble
-        contribs += c
+        contribs += Plans.of(c)
         // maintain the other complement views
         views = views.zipWithIndex.map {
           case (Some(v), j) if j != i =>
-            val dV = chainJoin(spec, leaves, skip = j, replace = Map(i -> di))
-            val nv = Delta.merge(v, dV).persist()
+            val dV = chainJoin(spec, leaves.map(Plans.of), skip = j, replace = Map(i -> di))
+            val nv = frame(Delta.merge(Plans.of(v), dV)).persist()
             work += dRows // delta-driven view update
             Some(nv)
           case (v, _) => v
         }
-        leaves = leaves.updated(i, Delta.merge(leaves(i), di).persist())
+        leaves = leaves.updated(i, frame(Delta.merge(Plans.of(leaves(i)), di)).persist())
       }
     }
     val contribution =
       if (contribs.isEmpty)
-        DeltaOps.partialAgg(Delta.attach(chainJoin(spec, leaves, -1).limit(0)), spec.keys, spec.aggs)
+        DeltaOps.partialAgg(Delta.empty(chainJoin(spec, leaves.map(Plans.of), -1)), spec.keys, spec.aggs)
       else DeltaOps.partialAgg(Delta.unionAll(contribs.toSeq), spec.keys, spec.aggs)
     val vRows = views.flatten.map(_.count().toDouble).sum
     val lRows = leaves.map(_.count().toDouble).sum
-    HovRt(leaves, views, contribution.persist(), vRows + lRows, work)
+    HovRt(leaves, views, frame(contribution).persist(), vRows + lRows, work)
   }
 
   /** The persisted frame of kept plan node `node`, once [[run]] evaluated it. */
-  def keptFrame(node: (Int, Int)): Option[DataFrame] =
-    cache.get(node).collect { case Rel(df, n) if kept(n) => df }
+  def keptFrame(node: (Int, Int)): Option[DataFrame] = frames.get(node)
 
   /** Run the plan across all time steps, interpreted at one shuffle partition
     * ([[SparkScope.interpreted]]), each job under its plan node's call site. */
@@ -316,7 +301,7 @@ final class Executor(spark: SparkSession, plan: IncrementalPlan,
       // when another input of its consumer turns out empty at run time; such
       // a node is counted by a job of its own
       for (r <- observed.values if !counts.contains(r.node))
-        counts(r.node) = SparkScope.withCallSite(spark)(s"t=$t node ${r.node} observed")(r.df.count())
+        counts(r.node) = SparkScope.withCallSite(spark)(s"t=$t node ${r.node} observed")(frame(r.plan).count())
       observed.clear()
       pending.foreach(_())
       pending.clear()

@@ -7,7 +7,7 @@ import org.apache.spark.sql.execution.SQLExecution
 import org.apache.spark.sql.functions._
 import repro.core.SparkScope
 import repro.core.algebra._
-import repro.core.tvr.Delta
+import repro.core.tvr.{Delta, Plans}
 
 /** Cardinality statistics of one relation (a snapshot or a delta). */
 final case class RelStats(rows: Double, distinct: Map[String, Double]) {
@@ -51,8 +51,9 @@ object TvrStats {
   }
 
   /** Exact statistics from real per-time delta DataFrames, in one aggregate
-    * job: the deltas are tagged with their index and unioned, and a single
-    * `agg` counts the rows of each delta, the distinct values of each of
+    * job over one plan, analysed once ([[Plans]]): the deltas are tagged
+    * with their index and unioned, and a single aggregate counts the rows
+    * of each delta, the distinct values of each of
     * `distinctCols` over all deltas, and whether any row has a negative
     * [[Delta.MULT]] (a delta without that column has none). The table has
     * retractions if `hasRetractions` says so or the data does. Used by
@@ -73,13 +74,17 @@ object TvrStats {
   def fromData(deltas: Vector[DataFrame], distinctCols: Seq[String],
                hasRetractions: Boolean = false): TvrStats = {
     val tag = "__delta"
-    val all = deltas.zipWithIndex.map { case (d, i) => Delta.attach(d).withColumn(tag, lit(i)) }
-      .reduce(_ unionByName _)
-    val aggs = deltas.indices.map(i => coalesce(sum(when(col(tag) === i, 1L)), lit(0L))) ++
-      distinctCols.map(c => countDistinct(col(c))) :+
-      coalesce(max(col(Delta.MULT) < 0), lit(false))
-    val row = SparkScope.interpreted(all.sparkSession) {
-      val qe = all.agg(aggs.head, aggs.tail: _*).asInstanceOf[classic.Dataset[_]].queryExecution
+    val tagged = deltas.zipWithIndex.map { case (d, i) =>
+      val p = Delta.attach(Plans.of(d))
+      Plans.select(p, Plans.columns(p).map(col) :+ lit(i).as(tag))
+    }
+    val aggs = deltas.indices.map(i => coalesce(sum(when(col(tag) === i, 1L)), lit(0L)).as(s"rows$i")) ++
+      distinctCols.map(c => countDistinct(col(c)).as(s"distinct_$c")) :+
+      coalesce(max(col(Delta.MULT) < 0), lit(false)).as("retracts")
+    val spark = deltas.head.sparkSession
+    val row = SparkScope.interpreted(spark) {
+      val qe = Plans.frame(spark, Plans.aggregate(Delta.unionAll(tagged), Nil, aggs))
+        .asInstanceOf[classic.Dataset[_]].queryExecution
       SQLExecution.withNewExecutionId(qe, Some("collect"))(SparkScope.runJob(qe.toRdd, CopyRows).flatten.head)
     }
     val n = deltas.size

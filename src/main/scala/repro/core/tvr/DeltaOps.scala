@@ -1,12 +1,15 @@
 package repro.core.tvr
 
-import org.apache.spark.sql.{Column, DataFrame}
+import org.apache.spark.sql.Column
+import org.apache.spark.sql.catalyst.plans.{FullOuter, Inner, LeftAnti, LeftSemi}
+import org.apache.spark.sql.catalyst.plans.logical.LogicalPlan
 import org.apache.spark.sql.functions._
-import repro.core.SparkScope
 import repro.core.algebra._
-import Delta.MULT
+import Delta.{MULT, dataCols, merge, unionAll}
+import Plans.{aggregate, join, lhs, rhs, select, where}
 
-/** Runtime incremental operators over delta-encoded DataFrames.
+/** Runtime incremental operators over delta-encoded relations, built as
+  * Catalyst plans ([[Plans]]) over inputs that carry [[Delta.MULT]].
   *
   * These are the physical counterparts of the TVR-generating rules (§4.1):
   * given snapshots and deltas of the inputs, compute the delta of the
@@ -19,131 +22,122 @@ import Delta.MULT
   * crosses zero flips the membership/padding of every matching left row.
   */
 object DeltaOps {
-  import Delta.{attach, unionAll, keyCond}
-
   private def sparkType(t: ColType): String = t match {
     case TLong => "bigint"; case TDouble => "double"
     case TString => "string"; case TDate => "date"
   }
 
   /** Inner join; multiplicities multiply. */
-  def joinInner(l: DataFrame, r: DataFrame, lk: Seq[String], rk: Seq[String]): DataFrame = {
-    val ld = attach(l).withColumnRenamed(MULT, "__lm")
-    val rd = attach(r).withColumnRenamed(MULT, "__rm")
-    val lCols = Delta.dataCols(l)
-    val rCols = Delta.dataCols(r)
-    ld.join(rd, keyCond(ld, lk, rd, rk), "inner")
-      .select(lCols.map(ld(_)) ++ rCols.map(rd(_)) :+ (ld("__lm") * rd("__rm")).as(MULT): _*)
-  }
+  def joinInner(l: LogicalPlan, r: LogicalPlan, lk: Seq[String], rk: Seq[String]): LogicalPlan =
+    select(join(l, r, Inner, lk, rk),
+      dataCols(l).map(lhs) ++ dataCols(r).map(rhs) :+ (lhs(MULT) * rhs(MULT)).as(MULT))
 
-  /** Per-key total multiplicity of `df` (column `__kc`). */
-  def keyTotals(df: DataFrame, keys: Seq[String]): DataFrame =
-    attach(df).groupBy(keys.map(col): _*).agg(sum(MULT).as("__kc"))
+  /** Per-key total multiplicity of `p`, in column `total`. */
+  private def keyTotals(p: LogicalPlan, keys: Seq[String], total: String): LogicalPlan =
+    aggregate(p, keys, Seq(sum(MULT).as(total)))
 
   /** Keys of `r` with positive total multiplicity. */
-  private def positiveKeys(r: DataFrame, rk: Seq[String]): DataFrame =
-    keyTotals(r, rk).filter(col("__kc") > 0L).select(rk.map(col): _*)
+  private def positiveKeys(r: LogicalPlan, rk: Seq[String]): LogicalPlan =
+    select(where(keyTotals(r, rk, "__kc"), col("__kc") > 0L), rk.map(col))
 
   /** Snapshot-level left-semi join (left multiplicities preserved). */
-  def semiSnap(l: DataFrame, r: DataFrame, lk: Seq[String], rk: Seq[String]): DataFrame = {
-    val ld = attach(l)
-    val rp = positiveKeys(r, rk)
-    ld.join(rp, keyCond(ld, lk, rp, rk), "left_semi")
-  }
+  def semiSnap(l: LogicalPlan, r: LogicalPlan, lk: Seq[String], rk: Seq[String]): LogicalPlan =
+    join(l, positiveKeys(r, rk), LeftSemi, lk, rk)
 
   /** Snapshot-level left-anti join. */
-  def antiSnap(l: DataFrame, r: DataFrame, lk: Seq[String], rk: Seq[String]): DataFrame = {
-    val ld = attach(l)
-    val rp = positiveKeys(r, rk)
-    ld.join(rp, keyCond(ld, lk, rp, rk), "left_anti")
-  }
+  def antiSnap(l: LogicalPlan, r: LogicalPlan, lk: Seq[String], rk: Seq[String]): LogicalPlan =
+    join(l, positiveKeys(r, rk), LeftAnti, lk, rk)
 
   /** Append typed NULL columns (the outer-join padding projector). */
-  def padNulls(df: DataFrame, cols: Seq[(String, ColType)]): DataFrame = {
-    val padded = cols.foldLeft(attach(df)) { case (d, (n, t)) =>
-      d.withColumn(n, lit(null).cast(sparkType(t)))
-    }
-    // keep __mult as the last column for readability (unions are by name)
-    padded.select((Delta.dataCols(padded) :+ MULT).map(col): _*)
-  }
+  def padNulls(p: LogicalPlan, cols: Seq[(String, ColType)]): LogicalPlan =
+    // __mult stays the last column, for readability (unions are by name)
+    select(p, dataCols(p).map(col) ++ cols.map { case (n, t) => lit(null).cast(sparkType(t)).as(n) } :+ col(MULT))
 
   /** Snapshot-level left-outer join: inner matches plus padded anti part.
     * Robust to uncollapsed inputs (padding detection uses key totals).
     */
-  def joinLeftOuterSnap(l: DataFrame, r: DataFrame, lk: Seq[String], rk: Seq[String],
-                        rCols: Seq[(String, ColType)]): DataFrame = {
-    val matched = joinInner(l, r, lk, rk)
-    val padded  = padNulls(antiSnap(l, r, lk, rk), rCols)
-    matched.unionByName(padded)
-  }
+  def joinLeftOuterSnap(l: LogicalPlan, r: LogicalPlan, lk: Seq[String], rk: Seq[String],
+                        rCols: Seq[(String, ColType)]): LogicalPlan =
+    unionAll(Seq(joinInner(l, r, lk, rk), padNulls(antiSnap(l, r, lk, rk), rCols)))
 
   /** Right keys whose total multiplicity crosses zero between `rOld` and
     * `rOld + dR`. Output columns: the key columns plus `__was`, `__is`.
-    * A full outer join's output does not report one partition, so at one
-    * shuffle partition it is coalesced ([[SparkScope.single]]), and a join
-    * over it needs no exchange.
+    * At one shuffle partition the full outer join is planned under one
+    * coalesce ([[repro.core.SparkScope.interpreted]]), so a join over the
+    * transitions needs no exchange.
     */
-  def transitions(rOld: DataFrame, dR: DataFrame, rk: Seq[String]): DataFrame = {
-    val ot = keyTotals(rOld, rk).withColumnRenamed("__kc", "__oc")
-    val dt = keyTotals(dR, rk).withColumnRenamed("__kc", "__dc")
-    SparkScope.single(ot.join(dt, rk, "full_outer"))
-      .select(
-        rk.map(col) ++ Seq(
-          (coalesce(col("__oc"), lit(0L)) > 0L).as("__was"),
-          ((coalesce(col("__oc"), lit(0L)) + coalesce(col("__dc"), lit(0L))) > 0L).as("__is"),
-        ): _*)
-      .filter(col("__was") =!= col("__is"))
+  def transitions(rOld: LogicalPlan, dR: LogicalPlan, rk: Seq[String]): LogicalPlan = {
+    val both = join(keyTotals(rOld, rk, "__oc"), keyTotals(dR, rk, "__dc"), FullOuter, rk, rk)
+    val (oc, dc) = (coalesce(col("__oc"), lit(0L)), coalesce(col("__dc"), lit(0L)))
+    where(select(both, rk.map(k => coalesce(lhs(k), rhs(k)).as(k)) ++
+        Seq((oc > 0L).as("__was"), ((oc + dc) > 0L).as("__is"))),
+      col("__was") =!= col("__is"))
   }
 
+  /** The rows of `lOld` whose key is in `trans`, with multiplicity `mult`
+    * of their own (`lhs(MULT)`) and of the transition (`__is`). */
+  private def flips(lOld: LogicalPlan, trans: LogicalPlan, lk: Seq[String], rk: Seq[String],
+                    mult: Column): LogicalPlan =
+    select(join(lOld, trans, Inner, lk, rk), dataCols(lOld).map(lhs) :+ mult.as(MULT))
+
   /** Δ(L ⋈ R): the bilinear rule. `rNew` must equal `rOld + dR`. */
-  def deltaInnerJoin(lOld: DataFrame, dL: DataFrame, rNew: DataFrame, dR: DataFrame,
-                     lk: Seq[String], rk: Seq[String]): DataFrame =
-    joinInner(dL, rNew, lk, rk).unionByName(joinInner(lOld, dR, lk, rk))
+  def deltaInnerJoin(lOld: LogicalPlan, dL: LogicalPlan, rNew: LogicalPlan, dR: LogicalPlan,
+                     lk: Seq[String], rk: Seq[String]): LogicalPlan =
+    unionAll(Seq(joinInner(dL, rNew, lk, rk), joinInner(lOld, dR, lk, rk)))
 
   /** Δ(L ⋈lo R): new-left part, new-match part, and padding corrections
     * driven by key-count transitions on R (Griffin–Kumar style).
     */
-  def deltaLeftOuter(lOld: DataFrame, dL: DataFrame,
-                     rOld: DataFrame, dR: DataFrame, rNew: DataFrame,
+  def deltaLeftOuter(lOld: LogicalPlan, dL: LogicalPlan,
+                     rOld: LogicalPlan, dR: LogicalPlan, rNew: LogicalPlan,
                      lk: Seq[String], rk: Seq[String],
-                     rCols: Seq[(String, ColType)]): DataFrame = {
+                     rCols: Seq[(String, ColType)]): LogicalPlan = {
     val part1 = joinLeftOuterSnap(dL, rNew, lk, rk, rCols)
     val part2 = joinInner(lOld, dR, lk, rk)
-    val trans = transitions(rOld, dR, rk)
-    val ld    = attach(lOld).withColumnRenamed(MULT, "__lm")
-    val joined = ld.join(trans, keyCond(ld, lk, trans, rk), "inner")
     // key went 0 -> positive: retract the padded row; positive -> 0: restore it.
-    val corr = padNulls(
-      joined.select(Delta.dataCols(lOld).map(ld(_)) :+
-        (when(col("__is"), -col("__lm")).otherwise(col("__lm"))).as(MULT): _*),
-      rCols)
+    val m = lhs(MULT)
+    val corr = padNulls(flips(lOld, transitions(rOld, dR, rk), lk, rk, when(col("__is"), -m).otherwise(m)), rCols)
     unionAll(Seq(part1, part2, corr))
   }
 
   /** Δ(L ⋉ R). */
-  def deltaSemi(lOld: DataFrame, dL: DataFrame,
-                rOld: DataFrame, dR: DataFrame, rNew: DataFrame,
-                lk: Seq[String], rk: Seq[String]): DataFrame = {
-    val part1 = semiSnap(dL, rNew, lk, rk)
-    val trans = transitions(rOld, dR, rk)
-    val ld    = attach(lOld).withColumnRenamed(MULT, "__lm")
-    val corr = ld.join(trans, keyCond(ld, lk, trans, rk), "inner")
-      .select(Delta.dataCols(lOld).map(ld(_)) :+
-        (when(col("__is"), col("__lm")).otherwise(-col("__lm"))).as(MULT): _*)
-    part1.unionByName(corr)
+  def deltaSemi(lOld: LogicalPlan, dL: LogicalPlan,
+                rOld: LogicalPlan, dR: LogicalPlan, rNew: LogicalPlan,
+                lk: Seq[String], rk: Seq[String]): LogicalPlan = {
+    val m = lhs(MULT)
+    unionAll(Seq(semiSnap(dL, rNew, lk, rk),
+      flips(lOld, transitions(rOld, dR, rk), lk, rk, when(col("__is"), m).otherwise(-m))))
   }
 
   /** Δ(L ▷ R). */
-  def deltaAnti(lOld: DataFrame, dL: DataFrame,
-                rOld: DataFrame, dR: DataFrame, rNew: DataFrame,
-                lk: Seq[String], rk: Seq[String]): DataFrame = {
-    val part1 = antiSnap(dL, rNew, lk, rk)
+  def deltaAnti(lOld: LogicalPlan, dL: LogicalPlan,
+                rOld: LogicalPlan, dR: LogicalPlan, rNew: LogicalPlan,
+                lk: Seq[String], rk: Seq[String]): LogicalPlan = {
+    val m = lhs(MULT)
+    unionAll(Seq(antiSnap(dL, rNew, lk, rk),
+      flips(lOld, transitions(rOld, dR, rk), lk, rk, when(col("__is"), -m).otherwise(m))))
+  }
+
+  /** ΔQ of the outer-join view Q = L ⋈lo R from per-table updates, with the
+    * padding corrections read off the previous snapshot `qOld` of Q
+    * (Eq. 4b). The first of `rCols` is R's key column in Q, NULL exactly on
+    * padded rows.
+    */
+  def ojvDelta(lOld: LogicalPlan, dL: LogicalPlan, rOld: LogicalPlan, dR: LogicalPlan, qOld: LogicalPlan,
+               lk: Seq[String], rk: Seq[String], rCols: Seq[(String, ColType)]): LogicalPlan = {
+    val dQD = joinInner(lOld, dR, lk, rk)
     val trans = transitions(rOld, dR, rk)
-    val ld    = attach(lOld).withColumnRenamed(MULT, "__lm")
-    val corr = ld.join(trans, keyCond(ld, lk, trans, rk), "inner")
-      .select(Delta.dataCols(lOld).map(ld(_)) :+
-        (when(col("__is"), -col("__lm")).otherwise(col("__lm"))).as(MULT): _*)
-    part1.unionByName(corr)
+    // keys whose match count went 0 -> positive: retract the padded rows,
+    // read off the previous snapshot of Q
+    val leftCols = dataCols(qOld).filterNot(c => rCols.exists(_._1 == c))
+    val padded = select(where(qOld, col(rCols.head._1).isNull), leftCols.map(col) :+ col(MULT))
+    val corrRetract = padNulls(flips(padded, where(trans, col("__is")), lk, rk, -lhs(MULT)), rCols)
+    // keys whose match count went positive -> 0: restore padding for every
+    // left row with that key (the previous snapshot has no padded rows for
+    // them, so source from L)
+    val corrRestore = padNulls(flips(lOld, where(trans, !col("__is")), lk, rk, lhs(MULT)), rCols)
+    val dQL = joinLeftOuterSnap(dL, merge(rOld, dR), lk, rk, rCols)
+    unionAll(Seq(dQD, corrRetract, corrRestore, dQL))
   }
 
   // ----- attribute-perspective aggregate states ------------------------------
@@ -160,22 +154,21 @@ object DeltaOps {
     keys ++ aggs.flatMap(stateCols) :+ "__gcnt"
 
   /** Initialize+Iterate: fold a delta-encoded input into per-group states. */
-  def partialAgg(df: DataFrame, keys: Seq[String], aggs: Seq[AggCall]): DataFrame =
-    groupAgg(attach(df), keys, aggs.flatMap(stateAggs) :+ sum(MULT).as("__gcnt"))
+  def partialAgg(p: LogicalPlan, keys: Seq[String], aggs: Seq[AggCall]): LogicalPlan =
+    aggregate(p, keys, aggs.flatMap(stateAggs) :+ sum(MULT).as("__gcnt"))
 
   /** The `+γ` merge operator: combine aggregate states with matching keys. */
-  def mergeStates(states: Seq[DataFrame], keys: Seq[String], aggs: Seq[AggCall]): DataFrame = {
-    val u = states.reduce(_ unionByName _)
+  def mergeStates(states: Seq[LogicalPlan], keys: Seq[String], aggs: Seq[AggCall]): LogicalPlan = {
     val sCols = (aggs.flatMap(stateCols) :+ "__gcnt").map(c => sum(c).as(c))
-    groupAgg(u, keys, sCols).filter(col("__gcnt") =!= 0L)
+    where(aggregate(unionAll(states), keys, sCols), col("__gcnt") =!= 0L)
   }
 
   /** Final: convert an aggregate state into the multiplicity-perspective
     * snapshot (also filters out empty groups — the paper's footnote 1).
     */
-  def finalAgg(state: DataFrame, keys: Seq[String], aggs: Seq[AggCall]): DataFrame =
-    state.filter(col("__gcnt") > 0L)
-      .select(keys.map(col) ++ aggs.map(a => finalCol(a).as(a.name)) :+ lit(1L).as(MULT): _*)
+  def finalAgg(state: LogicalPlan, keys: Seq[String], aggs: Seq[AggCall]): LogicalPlan =
+    select(where(state, col("__gcnt") > 0L),
+      keys.map(col) ++ aggs.map(a => finalCol(a).as(a.name)) :+ lit(1L).as(MULT))
 
   /** Aggregate a snapshot in one step, for an aggregate with a call that is
     * not incrementable. SUM, COUNT and AVG weigh each row by its
@@ -183,7 +176,7 @@ object DeltaOps {
     * MAX read the rows with a positive multiplicity. Empty groups are
     * dropped, as in [[finalAgg]].
     */
-  def snapshotAgg(df: DataFrame, keys: Seq[String], aggs: Seq[AggCall]): DataFrame = {
+  def snapshotAgg(p: LogicalPlan, keys: Seq[String], aggs: Seq[AggCall]): LogicalPlan = {
     val m = col(MULT)
     val cols = aggs.flatMap { a =>
       a.fn match {
@@ -192,15 +185,11 @@ object DeltaOps {
         case _    => stateAggs(a)
       }
     } :+ sum(m).as("__gcnt")
-    groupAgg(attach(df), keys, cols).filter(col("__gcnt") > 0L)
-      .select(keys.map(col) ++ aggs.map { a =>
+    select(where(aggregate(p, keys, cols), col("__gcnt") > 0L),
+      keys.map(col) ++ aggs.map { a =>
         (if (a.incrementable) finalCol(a) else col(a.name)).as(a.name)
-      } :+ lit(1L).as(MULT): _*)
+      } :+ lit(1L).as(MULT))
   }
-
-  private def groupAgg(df: DataFrame, keys: Seq[String], cols: Seq[Column]): DataFrame =
-    if (keys.isEmpty) df.agg(cols.head, cols.tail: _*)
-    else df.groupBy(keys.map(col): _*).agg(cols.head, cols.tail: _*)
 
   /** The [[stateCols]] of one call over multiplicity-weighted rows. */
   private def stateAggs(a: AggCall): Seq[Column] = {
@@ -234,11 +223,9 @@ object DeltaOps {
   }
 
   /** Filter a delta-encoded relation (linear rule: Δσ(R) = σ(ΔR)). */
-  def filter(df: DataFrame, pred: Expr): DataFrame = attach(df).filter(pred.toColumn)
+  def filter(p: LogicalPlan, pred: Expr): LogicalPlan = where(p, pred.toColumn)
 
   /** Project a delta-encoded relation (linear; no dedup). */
-  def project(df: DataFrame, exprs: Seq[(String, Expr)]): DataFrame = {
-    val d = attach(df)
-    d.select(exprs.map { case (n, e) => e.toColumn.as(n) } :+ col(MULT): _*)
-  }
+  def project(p: LogicalPlan, exprs: Seq[(String, Expr)]): LogicalPlan =
+    select(p, exprs.map { case (n, e) => e.toColumn.as(n) } :+ col(MULT))
 }

@@ -155,12 +155,13 @@ object TpcdsLite {
     * replacement rows so the final snapshot stays the same size class.
     */
   def withRetractions(deltas: Vector[DataFrame], frac: Double, seed: Long = 23): Vector[DataFrame] = {
-    import repro.core.tvr.Delta
+    import repro.core.tvr.{Delta, Plans}
     val t0 = Delta.attach(deltas.head)
     // cancel a sample of rows that were visible at t0 in the LAST delta
     val retract = t0.withColumn("__r", rand(seed)).filter(col("__r") < frac).drop("__r")
     val later = deltas.tail.zipWithIndex.map { case (d, i) =>
-      if (i == deltas.tail.size - 1) Delta.attach(d).unionByName(Delta.negate(retract))
+      if (i == deltas.tail.size - 1)
+        Plans.on(Seq(Delta.attach(d), retract))(ps => Delta.unionAll(Seq(ps(0), Delta.negate(ps(1)))))
       else Delta.attach(d)
     }
     (t0 +: later).toVector
@@ -185,12 +186,12 @@ object TpcdsLite {
   /** Build per-time delta inputs for a query under an arrival pattern. */
   def inputsFor(spark: SparkSession, q: RelOp, pattern: Pattern, sf: Double,
                 numTimes: Int = 2, seed: Long = 7): Map[String, Vector[DataFrame]] = {
-    import repro.core.tvr.Delta
+    import repro.core.tvr.{Delta, Plans}
     q.scans.map { s =>
       val full = genTable(spark, s.table, sf, seed)
       val deltas: Vector[DataFrame] =
         if (!factTables.contains(s.table))
-          (Delta.attach(full) +: Vector.fill(numTimes - 1)(Delta.empty(Delta.attach(full))))
+          (Delta.attach(full) +: Vector.fill(numTimes - 1)(Plans.on(Delta.attach(full))(Delta.empty)))
         else {
           val fr =
             if (numTimes == 2) pattern.fracs

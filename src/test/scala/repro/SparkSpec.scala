@@ -2,6 +2,7 @@ package repro
 
 import java.util.Properties
 import java.util.concurrent.ConcurrentLinkedQueue
+import java.util.concurrent.atomic.AtomicLong
 import scala.jdk.CollectionConverters._
 import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import org.apache.spark.sql.{SparkSession, classic}
@@ -26,8 +27,13 @@ trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
 }
 
 object SparkSpec {
+  /** Catalyst analyses run so far in the shared session: its check rule
+    * runs once per analysis. */
+  private val analyses = new AtomicLong()
+
   lazy val shared: SparkSession = {
     val s = SparkSession.builder
+      .withExtensions(_.injectCheckRule(_ => _ => { analyses.incrementAndGet(); () }))
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName("repro")
       .config("spark.sql.shuffle.partitions",
@@ -44,6 +50,14 @@ object SparkSpec {
       s"defaultParallelism=${s.sparkContext.defaultParallelism}"
     )
     s
+  }
+
+  /** Run `body` and count the Catalyst analyses it runs in the shared
+    * session. */
+  def analysesOf[A](body: => A): (A, Long) = {
+    val before = analyses.get
+    val a = body
+    (a, analyses.get - before)
   }
 
   /** One Spark job: its local properties and the number of stages it spans. */

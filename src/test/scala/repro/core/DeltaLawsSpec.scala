@@ -1,10 +1,10 @@
 package repro.core
 
-import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.catalyst.plans.logical.LogicalPlan
 import org.scalacheck.{Gen, rng}
 import repro.SparkSpec
 import repro.core.algebra._
-import repro.core.tvr.{Delta, DeltaOps}
+import repro.core.tvr.{Delta, DeltaOps, Plans}
 
 /** Property-style tests of the TIP-model algebra laws, with relations drawn
   * from ScalaCheck generators at fixed seeds (deterministic).
@@ -26,30 +26,30 @@ class DeltaLawsSpec extends SparkSpec {
   private def sample(seed: Long): List[((Long, String, Double), Long)] =
     relGen.pureApply(Gen.Parameters.default, rng.Seed(seed))
 
-  private def df(rows: List[((Long, String, Double), Long)], prefix: String): DataFrame = {
+  private def df(rows: List[((Long, String, Double), Long)], prefix: String): LogicalPlan = {
     import spark.implicits._
-    rows.map { case ((k, g, v), m) => (k, g, v, m) }
-      .toDF(s"${prefix}_k", s"${prefix}_g", s"${prefix}_v", Delta.MULT)
+    Plans.of(rows.map { case ((k, g, v), m) => (k, g, v, m) }
+      .toDF(s"${prefix}_k", s"${prefix}_g", s"${prefix}_v", Delta.MULT))
   }
 
   /** Positive-only relation (a valid snapshot). */
-  private def posDf(rows: List[((Long, String, Double), Long)], prefix: String): DataFrame =
+  private def posDf(rows: List[((Long, String, Double), Long)], prefix: String): LogicalPlan =
     df(rows.map { case (r, _) => (r, 1L) }, prefix)
 
-  private def bag(d: DataFrame): Seq[Seq[String]] =
-    Delta.collapse(d).collect().toSeq
-      .map(r => d.columns.toSeq.map(c => Option(r.get(r.fieldIndex(c))).map {
+  private def bag(d: LogicalPlan): Seq[Seq[String]] =
+    Plans.frame(spark, Delta.collapse(d)).collect().toSeq
+      .map(r => Plans.columns(d).map(c => Option(r.get(r.fieldIndex(c))).map {
         case dd: Double => f"$dd%.4f"; case x => x.toString
       }.getOrElse("null")))
       .map(r => r: Seq[String]).sortBy(_.mkString("|"))
 
-  private def assertBagEq(a: DataFrame, b: DataFrame, clue: String): Unit =
+  private def assertBagEq(a: LogicalPlan, b: LogicalPlan, clue: String): Unit =
     assert(bag(a) == bag(b), clue)
 
   test("law: R +# (-R) = ∅") {
     for (s <- 1 to Samples) {
       val a = df(sample(s), "a")
-      assert(Delta.merge(a, Delta.negate(a)).count() == 0, s"seed $s")
+      assert(Plans.frame(spark, Delta.merge(a, Delta.negate(a))).count() == 0, s"seed $s")
     }
   }
 

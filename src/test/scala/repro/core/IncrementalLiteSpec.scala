@@ -12,7 +12,7 @@ import repro.core.exec.{ExecReport, Executor}
 import repro.core.memo.{MHovInit, MHovStep, MOp}
 import repro.core.opt.{Compute, IncrementalPlan, PlanNode, Tempura}
 import repro.core.rules.Methods
-import repro.core.tvr.Delta
+import repro.core.tvr.{Delta, Plans}
 import repro.queries.{LiteQueries, TpcdsLite}
 import repro.queries.TpcdsLite._
 
@@ -189,7 +189,7 @@ class IncrementalLiteSpec extends SparkSpec {
   // execution an observed subtree beside an empty input drops out of its
   // consumer's plan and is counted by a job of its own
   private def emptyFactsAtT1(in: Inputs): Inputs = in.map { case (tb, ds) =>
-    tb -> (if (TpcdsLite.factTables(tb)) ds.updated(1, Delta.empty(ds(1))) else ds)
+    tb -> (if (TpcdsLite.factTables(tb)) ds.updated(1, Plans.on(ds(1))(Delta.empty)) else ds)
   }
   for ((parts, aqe) <- Seq(1 -> false, 16 -> true); ivm <- Seq(false, true)) {
     val mode = if (ivm) "IVM" else "PDW"
@@ -212,6 +212,21 @@ class IncrementalLiteSpec extends SparkSpec {
     val kept = ops(c.plan).keys.filter(Executor.kept(c.plan))
     assert(jobs == kept.size + c.plan.outputs.size)
     assert(jobs == 4)
+  }
+
+  // the executor builds each kept node's and each output's frame as one
+  // plan, lazy nodes and delta operators included, so Spark analyses one
+  // plan per kept node and output
+  test("a run analyses at most one Catalyst plan per kept node and output") {
+    atPartitions(1) {
+      for ((q, p, mn, m) <- Seq(("q93", DeltaBig, "Tempura", Methods.full), ("q40", DeltaRS, "HOV", Methods.hov))) {
+        val c = planCase(q, p, mn, m)
+        val (exec, analyses) = SparkSpec.analysesOf(c.executor.run())
+        check(c, exec)
+        val bound = ops(c.plan).keys.count(Executor.kept(c.plan)) + c.plan.outputs.size
+        assert(analyses > 0 && analyses <= bound, s"${c.key}: $analyses analyses, $bound kept nodes and outputs")
+      }
+    }
   }
 
   // with one shuffle partition the executor runs without generated code and
