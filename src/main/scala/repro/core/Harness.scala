@@ -14,19 +14,20 @@ import repro.core.tvr.{Delta, Plans}
 object Harness {
 
   /** Build an IQP problem with stats computed exactly from the input data,
-    * one aggregate job per table. A table has retractions if its data has a
-    * negative multiplicity or it is named in `retractions`, which can add
-    * caution but never hide a retraction.
+    * in one aggregate job for all tables ([[TvrStats.fromTables]]). A table
+    * has retractions if its data has a negative multiplicity or it is named
+    * in `retractions`, which can add caution but never hide a retraction.
     */
   def problemFromData(query: RelOp, inputs: Map[String, Vector[DataFrame]],
                       outputTimes: Seq[Int], costFn: CostFn,
                       retractions: Set[String] = Set.empty): IqpProblem = {
-    val k = inputs.head._2.size
-    val stats = inputs.map { case (t, deltas) =>
-      val distinctCols = query.scans.find(_.table == t).get.schema
-      t -> TvrStats.fromData(deltas, distinctCols, hasRetractions = retractions.contains(t))
-    }
-    IqpProblem(k, query, outputTimes, stats, costFn)
+    val tables = inputs.toSeq
+    val stats = TvrStats.fromTables(tables.map { case (t, deltas) =>
+      deltas -> query.scans.find(_.table == t).get.schema
+    })
+    IqpProblem(inputs.head._2.size, query, outputTimes, tables.zip(stats).map { case ((t, _), s) =>
+      t -> (if (retractions(t)) s.copy(hasRetractions = true) else s)
+    }.toMap, costFn)
   }
 
   /** Optimize and execute; returns plan + runtime report. */

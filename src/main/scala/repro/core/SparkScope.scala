@@ -5,14 +5,13 @@ import org.apache.spark.TaskContext
 import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{SparkSession, classic}
 import org.apache.spark.sql.catalyst.plans.FullOuter
-import org.apache.spark.sql.catalyst.plans.logical.{Aggregate, Expand, Join, LocalRelation, LogicalPlan, Repartition,
-  Union}
-import org.apache.spark.sql.execution.{CoalesceExec, ExpandExec, LocalTableScanExec, SparkPlan, SparkPlanner,
-  SparkStrategy, UnionExec}
+import org.apache.spark.sql.catalyst.plans.logical.{Aggregate, Join, LocalRelation, LogicalPlan, Repartition, Union}
+import org.apache.spark.sql.execution.{CoalesceExec, LocalTableScanExec, SparkPlan, SparkPlanner, SparkStrategy,
+  UnionExec}
 import org.apache.spark.sql.execution.aggregate.{HashAggregateExec, ObjectHashAggregateExec}
 
 /** Session settings scoped to one block of work, shared by statistics
-  * collection ([[repro.core.stats.TvrStats.fromData]]) and the executor
+  * collection ([[repro.core.stats.TvrStats.fromTables]]) and the executor
   * ([[repro.core.exec.Executor]]).
   */
 object SparkScope {
@@ -50,10 +49,9 @@ object SparkScope {
     * aggregate whose child does not report `SinglePartition`, and under a
     * join with a one-partition side whose estimated size exceeds
     * `spark.sql.maxSinglePartitionBytes`. Inside the scope:
-    *  - `OnePartitionPlans` plans a union, an expand (Spark's rewrite of
-    *    several distinct aggregates), an empty local relation (what Spark
-    *    leaves of a plan over an empty input) and a full outer join (whose
-    *    output reports no partitioning, as in
+    *  - `OnePartitionPlans` plans a union, an empty local relation (what
+    *    Spark leaves of a plan over an empty input) and a full outer join
+    *    (whose output reports no partitioning, as in
     *    [[repro.core.tvr.DeltaOps.transitions]]) as Spark's own operator
     *    under `CoalesceExec(1, …)`;
     *  - `spark.sql.maxSinglePartitionBytes` is `Long.MaxValue`: without
@@ -73,8 +71,8 @@ object SparkScope {
     * A job run with [[runJob]] and a named function skips the cleaner too.
     *
     * All settings are restored afterwards, also when `body` throws.
-    * [[repro.core.exec.Executor.run]] and the aggregate job of
-    * [[repro.core.stats.TvrStats.fromData]] run inside this scope.
+    * [[repro.core.exec.Executor.run]] and the one aggregate job of
+    * [[repro.core.stats.TvrStats.fromTables]] run inside this scope.
     */
   def interpreted[A](spark: SparkSession)(body: => A): A =
     if (!onePartition(spark)) body
@@ -88,9 +86,9 @@ object SparkScope {
     }
 
   /** Spark's own plans of the operators whose plan does not report one
-    * partition (a full outer join planned by `planner`'s join strategy),
-    * under `CoalesceExec(1, …)`, and of aggregates with no
-    * closure cleaning, for [[interpreted]]. A coalesce is narrow: one task
+    * partition (a union, an empty local relation, and a full outer join
+    * planned by `planner`'s join strategy), under `CoalesceExec(1, …)`, and
+    * of aggregates with no closure cleaning, for [[interpreted]]. A coalesce is narrow: one task
     * reads every input partition, and no row is shuffled. An aggregate is
     * planned by `planner`'s own aggregation strategy, with each
     * `HashAggregateExec` (whose RDD is built through the public
@@ -99,7 +97,6 @@ object SparkScope {
   private final class OnePartitionPlans(planner: SparkPlanner) extends SparkStrategy {
     def apply(plan: LogicalPlan): Seq[SparkPlan] = plan match {
       case u: Union  => Seq(CoalesceExec(1, UnionExec(u.children.map(planLater))))
-      case e: Expand => Seq(CoalesceExec(1, ExpandExec(e.projections, e.output, planLater(e.child))))
       case r: LocalRelation if r.data.isEmpty => Seq(CoalesceExec(1, LocalTableScanExec(r.output, r.data, r.stream)))
       case j: Join if j.joinType == FullOuter => planner.JoinSelection(j).map(CoalesceExec(1, _))
       case a: Aggregate => planner.Aggregation(a).map(_.transformUp {

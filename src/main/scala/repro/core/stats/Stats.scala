@@ -1,10 +1,11 @@
 package repro.core.stats
 
 import org.apache.spark.TaskContext
-import org.apache.spark.sql.{DataFrame, classic}
+import org.apache.spark.sql.{Column, DataFrame, classic}
 import org.apache.spark.sql.catalyst.InternalRow
 import org.apache.spark.sql.execution.SQLExecution
 import org.apache.spark.sql.functions._
+import org.apache.spark.sql.types.{DataType, DoubleType, FloatType, LongType}
 import repro.core.SparkScope
 import repro.core.algebra._
 import repro.core.tvr.{Delta, Plans}
@@ -50,47 +51,78 @@ object TvrStats {
     def apply(task: TaskContext, rows: Iterator[InternalRow]): Array[InternalRow] = rows.map(_.copy()).toArray
   }
 
-  /** Exact statistics from real per-time delta DataFrames, in one aggregate
-    * job over one plan, analysed once ([[Plans]]): the deltas are tagged
-    * with their index and unioned, and a single aggregate counts the rows
-    * of each delta, the distinct values of each of
-    * `distinctCols` over all deltas, and whether any row has a negative
-    * [[Delta.MULT]] (a delta without that column has none). The table has
-    * retractions if `hasRetractions` says so or the data does. Used by
-    * benches so the optimizer plans with accurate estimates; the sensitivity
-    * experiment perturbs these.
-    *
-    * At one shuffle partition the job runs without generated code and in
-    * one stage ([[SparkScope.interpreted]]): one aggregate over a few
-    * thousand rows compiles more than it computes, and the union of the
-    * deltas and Spark's expand for several distinct counts are planned
-    * under one coalesce, so no exchange regroups them. The aggregate is
-    * planned without closure cleaning there, and the job runs through
-    * [[SparkScope.runJob]] in place of `collect()`, whose closure would make
-    * Spark's cleaner read `RDD`'s class file each time. It runs under a SQL
-    * execution id of its own, as `collect()` does, so query listeners see
-    * the query.
-    */
+  /** Exact statistics of one table from its per-time deltas: [[fromTables]]
+    * for one table. The table has retractions if `hasRetractions` says so or
+    * the data does. */
   def fromData(deltas: Vector[DataFrame], distinctCols: Seq[String],
                hasRetractions: Boolean = false): TvrStats = {
-    val tag = "__delta"
-    val tagged = deltas.zipWithIndex.map { case (d, i) =>
-      val p = Delta.attach(Plans.of(d))
-      Plans.select(p, Plans.columns(p).map(col) :+ lit(i).as(tag))
+    val s = fromTables(Seq(deltas -> distinctCols)).head
+    if (hasRetractions) s.copy(hasRetractions = true) else s
+  }
+
+  /** Exact statistics of tables, each given by its per-time delta
+    * DataFrames and the columns to count the distinct values of, in one
+    * Spark job over one plan, analysed once ([[Plans]]). Used by benches so
+    * the optimizer plans with accurate estimates; the sensitivity experiment
+    * perturbs these.
+    *
+    * A table's deltas are tagged with their index and unioned, and one
+    * global aggregate over them counts the rows of each delta, whether any
+    * row has a negative [[Delta.MULT]] (a delta without that column has
+    * none), and the distinct values of each column over all deltas
+    * ([[distinct]]). Its one row is `(table index, array of longs)`, with the
+    * retraction flag as 0 or 1, and the rows of all tables are unioned.
+    *
+    * A distinct count is the size of a per-column hash set, not
+    * `countDistinct`: Spark rewrites several distinct aggregates into an
+    * `Expand`, which copies each row once per column and one more time and
+    * then aggregates twice.
+    *
+    * At one shuffle partition the job runs without generated code and in
+    * one stage ([[SparkScope.interpreted]]): a few aggregates over a few
+    * thousand rows compile more than they compute, and each table's union
+    * and the union of the tables are planned under one coalesce, so no
+    * exchange regroups them. The aggregates are planned without closure
+    * cleaning there, and the job runs through [[SparkScope.runJob]] in place
+    * of `collect()`, whose closure would make Spark's cleaner read `RDD`'s
+    * class file each time. It runs under a SQL execution id of its own, as
+    * `collect()` does, so query listeners see the query.
+    */
+  def fromTables(tables: Seq[(Vector[DataFrame], Seq[String])]): Seq[TvrStats] = {
+    val (tag, spark) = ("__delta", tables.head._1.head.sparkSession)
+    val rows = SparkScope.interpreted(spark) {
+      val perTable = tables.zipWithIndex.map { case ((deltas, cols), t) =>
+        val tagged = deltas.zipWithIndex.map { case (d, i) =>
+          val p = Delta.attach(Plans.of(d))
+          Plans.select(p, Plans.columns(p).map(col) :+ lit(i).as(tag))
+        }
+        val types = deltas.head.schema.map(f => f.name -> f.dataType).toMap
+        val counts = (deltas.indices.map(i => count(when(col(tag) === i, 1))) :+ any(col(Delta.MULT) < 0)) ++
+          cols.map(c => distinct(col(c), types.get(c)))
+        Plans.aggregate(SparkScope.single(spark)(Delta.unionAll(tagged)), Nil,
+          Seq(lit(t).as("table"), array(counts: _*).as("stats")))
+      }
+      val qe = Plans.frame(spark, Delta.unionAll(perTable)).asInstanceOf[classic.Dataset[_]].queryExecution
+      SQLExecution.withNewExecutionId(qe, Some("collect"))(SparkScope.runJob(qe.toRdd, CopyRows).flatten)
     }
-    val aggs = deltas.indices.map(i => coalesce(sum(when(col(tag) === i, 1L)), lit(0L)).as(s"rows$i")) ++
-      distinctCols.map(c => countDistinct(col(c)).as(s"distinct_$c")) :+
-      coalesce(max(col(Delta.MULT) < 0), lit(false)).as("retracts")
-    val spark = deltas.head.sparkSession
-    val row = SparkScope.interpreted(spark) {
-      val qe = Plans.frame(spark, Plans.aggregate(Delta.unionAll(tagged), Nil, aggs))
-        .asInstanceOf[classic.Dataset[_]].queryExecution
-      SQLExecution.withNewExecutionId(qe, Some("collect"))(SparkScope.runJob(qe.toRdd, CopyRows).flatten.head)
+    val byTable = rows.map(r => r.getInt(0) -> r.getArray(1).toLongArray()).toMap
+    tables.zipWithIndex.map { case ((deltas, cols), t) =>
+      val (n, s) = (deltas.size, byTable(t))
+      TvrStats(s.take(n).map(_.toDouble).toVector, cols.zip(s.drop(n + 1).map(_.toDouble)).toMap, s(n) == 1)
     }
-    val n = deltas.size
-    TvrStats(deltas.indices.map(row.getLong(_).toDouble).toVector,
-      distinctCols.indices.map(j => distinctCols(j) -> row.getLong(n + j).toDouble).toMap,
-      hasRetractions || row.getBoolean(n + distinctCols.size))
+  }
+
+  /** 1 if `p` holds on some row, and 0 otherwise. */
+  private def any(p: Column): Column = coalesce(max(p.cast(LongType)), lit(0L))
+
+  /** The number of distinct non-null values of `c`, of type `t`, as
+    * `countDistinct` counts them: the size of the set of its values. Spark's
+    * set compares floating values with Scala's `==`, under which NaN equals
+    * nothing, so NaN is counted apart, once, and -0.0 is made 0.0 (`+ 0`),
+    * as Spark normalizes a grouping key. */
+  private def distinct(c: Column, t: Option[DataType]): Column = t match {
+    case Some(FloatType | DoubleType) => size(collect_set(when(!isnan(c), c + 0))).cast(LongType) + any(isnan(c))
+    case _                            => size(collect_set(c)).cast(LongType)
   }
 }
 

@@ -1,6 +1,7 @@
 package repro.core
 
 import org.apache.spark.sql.{AnalysisException, DataFrame, classic}
+import org.apache.spark.sql.execution.{ExpandExec, SparkPlan}
 import org.apache.spark.sql.execution.aggregate.HashAggregateExec
 import org.apache.spark.sql.execution.exchange.ShuffleExchangeExec
 import org.apache.spark.sql.functions.{col, countDistinct}
@@ -11,10 +12,11 @@ import repro.core.tvr.Delta
 import repro.queries.{LiteQueries, TpcdsLite}
 
 /** [[TvrStats.fromData]] against a per-column reference, and its cost in
-  * Spark jobs: one per table. At one shuffle partition it runs interpreted,
-  * with no exchange and with no hash aggregate, whose RDD Spark builds
-  * through its closure cleaner ([[SparkScope.interpreted]]), with the same
-  * result and job count.
+  * Spark jobs: one per problem, whatever its number of tables
+  * ([[TvrStats.fromTables]]). At one shuffle partition it runs interpreted,
+  * in one stage, with no exchange, no expand and no hash aggregate, whose
+  * RDD Spark builds through its closure cleaner ([[SparkScope.interpreted]]),
+  * with the same result and job count.
   */
 class StatsFromDataSpec extends SparkSpec {
   import spark.implicits._
@@ -37,6 +39,16 @@ class StatsFromDataSpec extends SparkSpec {
   private def atOnePartition[A](body: => A): A =
     SparkSpec.withConf(spark)("spark.sql.shuffle.partitions" -> "1",
                               "spark.sql.adaptive.enabled" -> "false")(body)
+  private def at16Partitions[A](body: => A): A =
+    SparkSpec.withConf(spark)("spark.sql.shuffle.partitions" -> "16",
+                              "spark.sql.adaptive.enabled" -> "false")(body)
+
+  /** An exchange, an expand or a hash aggregate in `plan`. */
+  private def unwanted(plan: SparkPlan): Seq[SparkPlan] = plan.collect {
+    case e: ShuffleExchangeExec => e
+    case e: ExpandExec => e
+    case h: HashAggregateExec => h
+  }
 
   private def oneJob(name: String, deltas: Vector[DataFrame], cols: Seq[String]): Unit = {
     test(s"one aggregate job equals the per-column reference: $name") {
@@ -52,11 +64,7 @@ class StatsFromDataSpec extends SparkSpec {
       assert(stats == many)
       assert(jobs == 1)
       assert(plans.size == 1)
-      val found = plans.head.collect {
-        case e: ShuffleExchangeExec => e
-        case h: HashAggregateExec => h
-      }
-      assert(found.isEmpty, plans.head)
+      assert(unwanted(plans.head).isEmpty, plans.head)
       assert(scopeState == before)
     }
   }
@@ -104,14 +112,50 @@ class StatsFromDataSpec extends SparkSpec {
     assert(TvrStats.fromData(plain, Seq("k"), hasRetractions = true).hasRetractions)
   }
 
-  test("problemFromData: one job per table, retractions found without the flag") {
+  test("problemFromData: one job, retractions found without the flag") {
     val q = LiteQueries.byName("q93")
     val in = TpcdsLite.inputsFor(spark, q, TpcdsLite.DeltaRS, 0.001)
     val (problem, jobs) = SparkSpec.countJobs(spark)(
       Harness.problemFromData(q, in, Seq(0, 1), VectorCost(2)))
-    assert(jobs == in.size)
+    assert(jobs == 1)
     for ((t, s) <- problem.tableStats)
       withClue(t) { assert(s.hasRetractions == TpcdsLite.DeltaRS.retractTables.contains(t)) }
     assert(problem.tableStats.values.exists(_.hasRetractions))
+  }
+
+  test("floating point: -0.0 is 0.0 and NaN is one value, at 1 and 16 partitions") {
+    val x = Seq(Some(0.0), Some(-0.0), Some(Double.NaN), Some(Double.NaN), None, Some(1.0))
+    val d = x.map(v => (v, v.map(_.toFloat))).toDF("x", "y")
+    val deltas = Vector(d, d)
+    val ref = reference(deltas, Seq("x", "y"))
+    assert(ref.distinct == Map("x" -> 3.0, "y" -> 3.0))
+    assert(at16Partitions(TvrStats.fromData(deltas, Seq("x", "y"))) == ref)
+    assert(atOnePartition(TvrStats.fromData(deltas, Seq("x", "y"))) == ref)
+  }
+
+  test("problemFromData at one partition: one job in one stage, no exchange, expand or hash aggregate") {
+    val q = LiteQueries.byName("q40")
+    val in = TpcdsLite.inputsFor(spark, q, TpcdsLite.DeltaRS, 0.001)
+    val (jobs, plans) = atOnePartition(SparkSpec.plansOf(spark)(SparkSpec.jobsOf(spark)(
+      Harness.problemFromData(q, in, Seq(1), VectorCost(2)))._2))
+    assert(in.size > 1)
+    assert(jobs.map(_.stages) == Seq(1))
+    assert(plans.size == 1)
+    assert(unwanted(plans.head).isEmpty, plans.head)
+  }
+
+  test("every lite query and pattern: the same statistics at 1 and 16 partitions") {
+    for (p <- TpcdsLite.patterns) {
+      // a table's deltas under a pattern are the same in every query that reads it
+      val tables = LiteQueries.all.flatMap { lq =>
+        TpcdsLite.inputsFor(spark, lq.root, p, 0.001).map { case (t, deltas) =>
+          (t, lq.root.scans.find(_.table == t).get.schema) -> deltas
+        }
+      }.toMap.toSeq.map { case ((t, cols), deltas) => (t, deltas -> cols) }
+      val one = atOnePartition(TvrStats.fromTables(tables.map(_._2)))
+      val many = at16Partitions(TvrStats.fromTables(tables.map(_._2)))
+      val differing = tables.map(_._1).zip(one.zip(many)).filter { case (_, (a, b)) => a != b }
+      assert(differing.isEmpty, s"${p.name}: $differing")
+    }
   }
 }
