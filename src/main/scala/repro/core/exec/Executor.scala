@@ -5,7 +5,9 @@ import org.apache.spark.TaskContext
 import org.apache.spark.sql.{DataFrame, SparkSession, classic}
 import org.apache.spark.sql.catalyst.plans.logical.LogicalPlan
 import org.apache.spark.sql.columnar.CachedBatch
-import org.apache.spark.sql.execution.{CollectMetricsExec, SQLExecution}
+import org.apache.spark.sql.execution.{CollectMetricsExec, SQLExecution, SparkPlan}
+import org.apache.spark.sql.execution.adaptive.AQEPropagateEmptyRelation
+import org.apache.spark.sql.execution.columnar.InMemoryRelation
 import org.apache.spark.sql.functions.{count, lit}
 import repro.core.SparkScope
 import repro.core.algebra._
@@ -55,8 +57,11 @@ final case class ExecReport(
   * where a DataFrame per operator call was analysed on the spot. A kept
   * node is then planned once, by `persist()`: its job sums the row counts
   * of the column buffers it caches, under the call site
-  * `t=<t> node (g,t) <op>`. HOV init and step keep their view bundles as
-  * persisted frames, one per leaf, view and contribution.
+  * `t=<t> node (g,t) <op>`. Its consumers read it as a leaf over those
+  * buffers, not through its lineage, and its frame is unpersisted at the
+  * end of its last reader's time step ([[Executor.lifetimes]]); outputs
+  * stay cached. HOV init and step keep their view bundles as persisted
+  * frames, one per leaf, view and contribution, for the whole run.
   *
   * When the session has one shuffle partition, the inputs are small and
   * each job's cost is fixed per stage, per generated class and per closure
@@ -96,15 +101,17 @@ final class Executor(spark: SparkSession, plan: IncrementalPlan,
     table -> ds.map(d => SparkScope.single(spark)(Delta.attach(Plans.of(d))))
   }
   private val cache = mutable.HashMap[(Int, Int), RtVal]()
-  /** The persisted frames of the kept nodes evaluated so far. */
+  /** The persisted frames of the kept nodes evaluated and not yet freed. */
   private val frames = mutable.HashMap[(Int, Int), DataFrame]()
+  /** The cached physical plan of each kept node evaluated so far. */
+  private val cachedPlans = mutable.HashMap[(Int, Int), SparkPlan]()
   private val rowsByTime = Array.fill(numTimes)(0.0)
   private val measuredKeys = mutable.HashSet[(Int, Int)]()
   private val stateSizes = mutable.LinkedHashMap[(Int, Int), Double]()
   /** Saved-state plans, for a load evaluated before [[run]] reached its
     * state (one listed after a consumer at the same time). */
   private val stateEntries = plan.states.map(s => (s.groupId, s.time) -> s.plan).toMap
-  private val kept = Executor.kept(plan)
+  private val lifetimes = Executor.lifetimes(plan)
   private val counts = mutable.HashMap[(Int, Int), Long]()
   /** Lazy nodes by the name of their row-count observer. */
   private val observed = mutable.HashMap[String, Rel]()
@@ -113,14 +120,16 @@ final class Executor(spark: SparkSession, plan: IncrementalPlan,
 
   private def frame(p: LogicalPlan): DataFrame = Plans.frame(spark, p)
 
-  /** The relation of plan node `node`: persisted and counted if it is kept,
-    * otherwise lazy, with its row count observed under its own name. */
+  /** The relation of plan node `node`: persisted, counted and read as a leaf
+    * over its cached column buffers if it is kept (with no output ordering,
+    * which a fresh leaf would not rename), otherwise lazy and observed. */
   private def rel(node: (Int, Int), p: LogicalPlan): Rel =
-    if (kept(node)) {
-      val (d, n) = materialize(p)
+    if (lifetimes.contains(node)) {
+      val (d, imr, n) = materialize(p)
       counts(node) = n
       frames(node) = d
-      Rel(Plans.of(d), node)
+      cachedPlans(node) = imr.cacheBuilder.cachedPlan
+      Rel(InMemoryRelation(imr.output, imr.cacheBuilder, Nil, imr.statsOfPlanToCache), node)
     } else {
       val name = s"rows${node._1}@${node._2}"
       val r = Rel(Plans.observe(p, name, count(lit(1)).as("rows")), node)
@@ -131,16 +140,16 @@ final class Executor(spark: SparkSession, plan: IncrementalPlan,
   /** Persist `p` and count its rows in one job, over the cached column
     * buffers it builds, under the session's SQL confs. The lazy nodes it
     * computed leave their row counts on the observers of its cached plan. */
-  private def materialize(p: LogicalPlan): (DataFrame, Long) = {
+  private def materialize(p: LogicalPlan): (DataFrame, InMemoryRelation, Long) = {
     val d = frame(SparkScope.single(spark)(p)).persist()
-    val cache = session.sharedState.cacheManager.lookupCachedData(d.asInstanceOf[classic.Dataset[_]])
+    val imr = session.sharedState.cacheManager.lookupCachedData(d.asInstanceOf[classic.Dataset[_]])
       .getOrElse(throw new IllegalStateException("a persisted frame is not in the cache"))
-      .cachedRepresentation.cacheBuilder
+      .cachedRepresentation
     val n = SQLExecution.withSQLConfPropagated(session)(
-      SparkScope.runJob(cache.cachedColumnBuffers, Executor.BatchRows).sum)
-    for ((name, row) <- CollectMetricsExec.collect(cache.cachedPlan); r <- observed.get(name))
+      SparkScope.runJob(imr.cacheBuilder.cachedColumnBuffers, Executor.BatchRows).sum)
+    for ((name, row) <- CollectMetricsExec.collect(imr.cacheBuilder.cachedPlan); r <- observed.get(name))
       counts(r.node) = row.getLong(0)
-    (d, n)
+    (d, imr, n)
   }
 
   private def relOf(v: RtVal): LogicalPlan = v match {
@@ -279,12 +288,14 @@ final class Executor(spark: SparkSession, plan: IncrementalPlan,
     HovRt(leaves, views, frame(contribution).persist(), vRows + lRows, work)
   }
 
-  /** The persisted frame of kept plan node `node`, once [[run]] evaluated it. */
-  def keptFrame(node: (Int, Int)): Option[DataFrame] = frames.get(node)
+  /** The cached physical plan of kept plan node `node`, once [[run]]
+    * evaluated it, also after its frame is freed. */
+  def keptPlan(node: (Int, Int)): Option[SparkPlan] = cachedPlans.get(node)
 
   /** Run the plan across all time steps, interpreted at one shuffle partition
-    * ([[SparkScope.interpreted]]), each job under its plan node's call site. */
-  def run(): ExecReport = SparkScope.interpreted(spark) {
+    * ([[SparkScope.interpreted]]), each job under its plan node's call site,
+    * and above it without `AQEPropagateEmptyRelation`, which drops observers. */
+  def run(): ExecReport = SparkScope.interpreted(spark)(SparkScope.withConf(spark)(keepObservers: _*) {
     val wall = Array.fill(numTimes)(0.0)
     val outputs = mutable.ArrayBuffer[(Int, DataFrame)]()
     for (t <- 0 until numTimes) {
@@ -297,18 +308,20 @@ final class Executor(spark: SparkSession, plan: IncrementalPlan,
         outputs += SparkScope.withCallSite(spark)(s"t=$t node (${out.plan.groupId},$t) output") {
           (t, materialize(Delta.collapse(relOf(eval(out.plan))))._1)
         }
-      // adaptive execution can drop an observed subtree from the final plan
-      // when another input of its consumer turns out empty at run time; such
-      // a node is counted by a job of its own
-      for (r <- observed.values if !counts.contains(r.node))
-        counts(r.node) = SparkScope.withCallSite(spark)(s"t=$t node ${r.node} observed")(frame(r.plan).count())
       observed.clear()
       pending.foreach(_())
       pending.clear()
+      for (node <- frames.keys.toSeq if lifetimes(node) <= t) frames.remove(node).foreach(_.unpersist(blocking = true))
       wall(t) = (System.nanoTime() - start) / 1e6
     }
     ExecReport(rowsByTime.toVector, wall.toVector, stateSizes.values.sum,
       stateSizes.toVector, outputs.toVector)
+  })
+
+  private def keepObservers: Seq[(String, String)] = if (SparkScope.onePartition(spark)) Nil else {
+    val key = "spark.sql.adaptive.optimizer.excludedRules"
+    Seq(key -> (spark.conf.getOption(key).filter(_.nonEmpty).toSeq :+ AQEPropagateEmptyRelation.ruleName)
+      .mkString(","))
   }
 }
 
@@ -319,32 +332,49 @@ object Executor {
     def apply(task: TaskContext, batches: Iterator[CachedBatch]): Long = batches.map(_.numRows.toLong).sum
   }
 
+  /** The plan nodes an [[Executor]] persists and counts ([[lifetimes]]). */
+  def kept(plan: IncrementalPlan): Set[(Int, Int)] = lifetimes(plan).keySet
+
   /** The plan nodes an [[Executor]] persists and counts in a job of their
-    * own: state roots, nodes read by more than one consumer (over all time
-    * steps), inputs of HOV init and step (the trigger branches on their row
-    * counts). An output counts as one more reader of its root. The plan is
-    * walked in the executor's evaluation order, each node once.
+    * own, each with the last time step that reads its frame: state roots,
+    * nodes read by more than one consumer (over all time steps), inputs of
+    * HOV init and step (the trigger branches on their row counts). An
+    * output counts as one more reader of its root. A consumer of a load
+    * reads the load's state root. The plan is walked in the executor's
+    * evaluation order, each node once, and a node is read at the step that
+    * walks its consumer (at its own step if nothing reads it).
     */
-  def kept(plan: IncrementalPlan): Set[(Int, Int)] = {
+  def lifetimes(plan: IncrementalPlan): Map[(Int, Int), Int] = {
     def key(p: PlanNode) = (p.groupId, p.time)
     val entries = plan.states.map(s => (s.groupId, s.time) -> s.plan).toMap
+    def source(p: PlanNode): (Int, Int) = p match {
+      case LoadState(g, _, from) => entries.get((g, from)).fold(key(p))(source)
+      case _                     => key(p)
+    }
     val reads = mutable.HashMap[(Int, Int), Int]().withDefaultValue(0)
+    val lastRead = mutable.HashMap[(Int, Int), Int]()
     val hovInputs = mutable.HashSet[(Int, Int)]()
     val seen = mutable.HashSet[(Int, Int)]()
-    def walk(p: PlanNode): Unit = if (seen.add(key(p))) p match {
-      case LoadState(g, _, from) => entries.get((g, from)).foreach(walk)
-      case Compute(_, _, op, cs) =>
-        cs.foreach(c => reads(key(c)) += 1)
-        op match {
-          case _: MHovInit | _: MHovStep => hovInputs ++= cs.map(key)
-          case _                         =>
-        }
-        cs.foreach(walk)
+    def walk(now: Int)(p: PlanNode): Unit = if (seen.add(key(p))) {
+      lastRead(key(p)) = now
+      p match {
+        case LoadState(g, _, from) => entries.get((g, from)).foreach(walk(now))
+        case Compute(_, _, op, cs) =>
+          cs.foreach(c => reads(key(c)) += 1)
+          op match {
+            case _: MHovInit | _: MHovStep => hovInputs ++= cs.map(key)
+            case _                         =>
+          }
+          cs.foreach { c => walk(now)(c); lastRead(source(c)) = now }
+      }
     }
-    val roots = (plan.states.map(s => s.time -> s.plan) ++ plan.outputs.map(o => o.time -> o.plan))
-      .sortBy(_._1).map(_._2)
-    roots.foreach(walk)
-    plan.outputs.foreach(o => reads(key(o.plan)) += 1) // the collapsed output reads its root
-    plan.states.map(s => key(s.plan)).toSet ++ reads.collect { case (k, n) if n > 1 => k } ++ hovInputs
+    (plan.states.map(s => s.time -> s.plan) ++ plan.outputs.map(o => o.time -> o.plan)).sortBy(_._1)
+      .foreach { case (t, p) => walk(t)(p) }
+    for (o <- plan.outputs) { // the collapsed output reads its root
+      reads(key(o.plan)) += 1
+      lastRead(source(o.plan)) = lastRead(source(o.plan)) max o.time
+    }
+    (plan.states.map(s => key(s.plan)).toSet ++ reads.collect { case (k, n) if n > 1 => k } ++ hovInputs)
+      .map(k => k -> lastRead(k)).toMap
   }
 }

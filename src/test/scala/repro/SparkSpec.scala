@@ -4,8 +4,9 @@ import java.util.Properties
 import java.util.concurrent.ConcurrentLinkedQueue
 import java.util.concurrent.atomic.AtomicLong
 import scala.jdk.CollectionConverters._
-import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart, SparkListenerUnpersistRDD}
 import org.apache.spark.sql.{SparkSession, classic}
+import org.apache.spark.sql.catalyst.plans.logical.LogicalPlan
 import org.apache.spark.sql.execution.{QueryExecution, SparkPlan}
 import org.apache.spark.sql.util.QueryExecutionListener
 import org.scalatest.BeforeAndAfterAll
@@ -30,10 +31,16 @@ object SparkSpec {
   /** Catalyst analyses run so far in the shared session: its check rule
     * runs once per analysis. */
   private val analyses = new AtomicLong()
+  /** Where [[analysedPlansOf]] collects each analysed plan, with the
+    * analysing thread's short call site, while it runs. */
+  @volatile private var analysed: Option[ConcurrentLinkedQueue[(String, LogicalPlan)]] = None
 
   lazy val shared: SparkSession = {
     val s = SparkSession.builder
-      .withExtensions(_.injectCheckRule(_ => _ => { analyses.incrementAndGet(); () }))
+      .withExtensions(_.injectCheckRule(session => plan => {
+        analyses.incrementAndGet()
+        analysed.foreach(_.add(session.sparkContext.getLocalProperty("callSite.short") -> plan))
+      }))
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName("repro")
       .config("spark.sql.shuffle.partitions",
@@ -60,8 +67,21 @@ object SparkSpec {
     (a, analyses.get - before)
   }
 
-  /** One Spark job: its local properties and the number of stages it spans. */
-  final case class Job(props: Properties, stages: Int)
+  /** Run `body` and collect each plan the shared session analyses meanwhile,
+    * in order, with the analysing thread's short call site at the time. */
+  def analysedPlansOf[A](body: => A): (A, Seq[(String, LogicalPlan)]) = {
+    val plans = new ConcurrentLinkedQueue[(String, LogicalPlan)]()
+    analysed = Some(plans)
+    try (body, plans.asScala.toSeq) finally analysed = None
+  }
+
+  /** What a Spark listener saw: a job start or an unpersisted RDD. */
+  sealed trait Event
+  /** One Spark job: its local properties, the number of stages it spans and
+    * the id of the RDD its result stage computes. */
+  final case class Job(props: Properties, stages: Int, rdd: Int) extends Event
+  /** An RDD whose blocks Spark was asked to remove (`unpersist`). */
+  final case class Unpersist(rdd: Int) extends Event
 
   /** Run `body` and count the Spark jobs it starts ([[jobsOf]]). */
   def countJobs[A](spark: SparkSession)(body: => A): (A, Int) = {
@@ -75,21 +95,29 @@ object SparkSpec {
     * follow the physical plan's shape.
     */
   def jobsOf[A](spark: SparkSession, adaptive: Boolean = false)(body: => A): (A, Seq[Job]) = {
+    val (a, events) = eventsOf(spark, adaptive)(body)
+    (a, events.collect { case j: Job => j })
+  }
+
+  /** Run `body` and collect each Spark job it starts ([[jobsOf]]) and each
+    * RDD unpersisted meanwhile, in the order Spark posted them. */
+  def eventsOf[A](spark: SparkSession, adaptive: Boolean = false)(body: => A): (A, Seq[Event]) = {
     val sc = spark.sparkContext
     val key = "repro.test.jobsOf"
     val id = java.util.UUID.randomUUID().toString
-    val jobs = new ConcurrentLinkedQueue[Job]()
+    val events = new ConcurrentLinkedQueue[Event]()
     val listener = new SparkListener {
       override def onJobStart(e: SparkListenerJobStart): Unit =
         if (Option(e.properties).exists(_.getProperty(key) == id))
-          jobs.add(Job(e.properties, e.stageInfos.size))
+          events.add(Job(e.properties, e.stageInfos.size, e.stageInfos.maxBy(_.stageId).rddInfos.head.id))
+      override def onUnpersistRDD(e: SparkListenerUnpersistRDD): Unit = events.add(Unpersist(e.rddId))
     }
     sc.addSparkListener(listener)
     sc.setLocalProperty(key, id)
     try withConf(spark)("spark.sql.adaptive.enabled" -> adaptive.toString) {
       val a = body
       drain(spark)
-      (a, jobs.asScala.toSeq)
+      (a, events.asScala.toSeq)
     } finally {
       sc.setLocalProperty(key, null)
       sc.removeSparkListener(listener)

@@ -1,8 +1,9 @@
 package repro.core
 
 import org.apache.spark.sql.{DataFrame, classic}
-import org.apache.spark.sql.execution.WholeStageCodegenExec
+import org.apache.spark.sql.execution.{SparkPlan, WholeStageCodegenExec}
 import org.apache.spark.sql.execution.aggregate.HashAggregateExec
+import org.apache.spark.sql.execution.columnar.{InMemoryRelation, InMemoryTableScanExec}
 import org.apache.spark.sql.execution.exchange.ShuffleExchangeExec
 import org.apache.spark.metrics.source.CodegenMetrics
 import repro.SparkSpec
@@ -10,7 +11,7 @@ import repro.core.algebra._
 import repro.core.cost.VectorCost
 import repro.core.exec.{ExecReport, Executor}
 import repro.core.memo.{MHovInit, MHovStep, MOp}
-import repro.core.opt.{Compute, IncrementalPlan, PlanNode, Tempura}
+import repro.core.opt.{Compute, IncrementalPlan, LoadState, PlanNode, Tempura}
 import repro.core.rules.Methods
 import repro.core.tvr.{Delta, Plans}
 import repro.queries.{LiteQueries, TpcdsLite}
@@ -186,8 +187,8 @@ class IncrementalLiteSpec extends SparkSpec {
   }
 
   // no fact rows arrive at t1: kept nodes cache zero rows, and with adaptive
-  // execution an observed subtree beside an empty input drops out of its
-  // consumer's plan and is counted by a job of its own
+  // execution no observed subtree beside an empty input drops out of its
+  // consumer's plan, so none is counted by a job of its own
   private def emptyFactsAtT1(in: Inputs): Inputs = in.map { case (tb, ds) =>
     tb -> (if (TpcdsLite.factTables(tb)) ds.updated(1, Plans.on(ds(1))(Delta.empty)) else ds)
   }
@@ -199,7 +200,7 @@ class IncrementalLiteSpec extends SparkSpec {
         val (exec, jobs) = SparkSpec.jobsOf(spark, adaptive = aqe)(c.executor.run())
         checkOutputs(c, exec)
         val observed = jobs.map(_.props.getProperty("callSite.short")).filter(_.endsWith(" observed"))
-        assert(observed.nonEmpty == aqe, observed)
+        assert(observed.isEmpty, observed)
       }
     }
   }
@@ -240,7 +241,6 @@ class IncrementalLiteSpec extends SparkSpec {
   test("one shuffle partition: same rows, outputs and jobs; one stage per job, no exchange or generated stage") {
     val codegen = Seq("spark.sql.codegen.wholeStage", "spark.sql.codegen.factoryMode")
     val before = codegen.map(spark.conf.getOption)
-    val cacheManager = spark.asInstanceOf[classic.SparkSession].sharedState.cacheManager
     atPartitions(1) {
       for ((q, p, mn, m, ivm, k) <- Seq(
         ("q93", DeltaBig, "Tempura", Methods.full, false, 2),
@@ -258,14 +258,14 @@ class IncrementalLiteSpec extends SparkSpec {
         val keptNodes = ops(c.plan).collect {
           case (n, op) if Executor.kept(c.plan)(n) && !op.isInstanceOf[MHovInit] && !op.isInstanceOf[MHovStep] => n
         }.toSeq.sorted
-        val frames = keptNodes.map { n =>
-          s"node $n" -> c.executor.keptFrame(n).getOrElse(fail(s"${c.key}: node $n has no persisted frame"))
-        } ++ exec.outputs.map { case (t, df) => s"output at t$t" -> df }
+        val cachedPlans = keptNodes.map { n =>
+          s"node $n" -> c.executor.keptPlan(n).getOrElse(fail(s"${c.key}: node $n has no cached plan"))
+        } ++ exec.outputs.map { case (t, df) =>
+          s"output at t$t" -> cacheBuilder(df, s"${c.key}: output at t$t").cachedPlan
+        }
         assert(keptNodes.nonEmpty, c.key)
-        for ((name, df) <- frames) {
-          val cached = cacheManager.lookupCachedData(df.asInstanceOf[classic.Dataset[_]])
-            .getOrElse(fail(s"${c.key}: $name is not cached"))
-          val found = cached.cachedRepresentation.cacheBuilder.cachedPlan.collect {
+        for ((name, cachedPlan) <- cachedPlans) {
+          val found = cachedPlan.collect {
             case e: ShuffleExchangeExec => e
             case w: WholeStageCodegenExec => w
             case h: HashAggregateExec => h
@@ -288,12 +288,119 @@ class IncrementalLiteSpec extends SparkSpec {
     }
   }
 
-  /** The operator of every computed node of `plan`, by node. */
-  private def ops(plan: IncrementalPlan): Map[(Int, Int), MOp] =
-    (plan.states.map(_.plan) ++ plan.outputs.map(_.plan)).flatMap(all).toMap
+  // a kept node's frame is freed once its last reader has run; only the
+  // outputs, which the caller reads, stay persisted
+  test("after a run the session holds one persisted RDD per output") {
+    atPartitions(1) {
+      for ((q, p, mn, m) <- Seq(("q93", DeltaBig, "Tempura", Methods.full), ("q40", DeltaRS, "HOV", Methods.hov))) {
+        val c = planCase(q, p, mn, m)
+        val before = spark.sparkContext.getPersistentRDDs.keySet
+        val exec = c.executor.run()
+        check(c, exec)
+        val held = spark.sparkContext.getPersistentRDDs.keySet -- before
+        val outputs = exec.outputs.map { case (t, df) => cacheBuilder(df, s"t$t").cachedColumnBuffers.id }.toSet
+        assert(held == outputs && outputs.size == exec.outputs.size, s"${c.key}: persisted $held, outputs $outputs")
+      }
+    }
+  }
 
-  private def all(p: PlanNode): Seq[((Int, Int), MOp)] = p match {
-    case Compute(g, t, op, cs) => ((g, t) -> op) +: cs.flatMap(all)
-    case _                     => Nil // a loaded state was counted where it was saved
+  // a kept node's last reader's step is the last step with a job whose
+  // cached plan scans the node's buffers (or the node's own step); the
+  // node's frame is unpersisted after that step's last job and before the
+  // next step's first
+  test("q93 / delta-RS / Tempura under IVM, |T|=3 unpersists each kept node right after its last reader's step") {
+    atPartitions(1) {
+      val c = planCase("q93", DeltaRS, "Tempura", Methods.full, ivm = true, k = 3)
+      val (exec, events) = SparkSpec.eventsOf(spark)(c.executor.run())
+      check(c, exec)
+      // (event index, step, node, output?, RDD id, cached plan) of each job
+      val jobs = events.zipWithIndex.collect { case (j: SparkSpec.Job, i) =>
+        val label = j.props.getProperty("callSite.short")
+        val Label(t, g, nt, op) = label: @unchecked
+        val node = (g.toInt, nt.toInt)
+        val plan =
+          if (op == "output") cacheBuilder(exec.outputs.find(_._1 == t.toInt).get._2, label).cachedPlan
+          else c.executor.keptPlan(node).get
+        (i, t.toInt, node, op == "output", j.rdd, plan)
+      }
+      val kept = jobs.filterNot(_._4)
+      assert(kept.map(_._3).toSet == Executor.kept(c.plan).filter(computes(c.plan).contains))
+      val unpersisted = events.zipWithIndex.collect { case (SparkSpec.Unpersist(rdd), i) => rdd -> i }
+      val outputs = jobs.filter(_._4).map(_._5).toSet
+      assert(!unpersisted.exists(u => outputs(u._1)), "an output was unpersisted")
+      for ((_, own, n, _, rdd, plan) <- kept) {
+        val last = (own +: jobs.collect { case (_, t, _, _, _, p) if scans(p).exists(_ eq plan) => t }).max
+        val at = unpersisted.collect { case (`rdd`, i) => i }
+        assert(at.size == 1, s"node $n: unpersisted ${at.size} times")
+        val after = jobs.filter(_._2 <= last).map(_._1).max
+        val before = jobs.filter(_._2 > last).map(_._1).minOption.getOrElse(Int.MaxValue)
+        assert(after < at.head && at.head < before, s"node $n, last read at t$last: unpersisted as event ${at.head}")
+      }
+    }
+  }
+
+  // a consumer reads each kept node it depends on as an in-memory leaf, not
+  // through the node's lineage, so analysed plans stop growing with t. Over
+  // four steps t1 and t2 run the same plan shape; the last step keeps only
+  // its output root, so its one plan is the step's whole work
+  test("q40 / delta-RS / Tempura under IVM, |T|=4 analyses kept inputs as cached leaves; no larger plans at t2") {
+    atPartitions(1) {
+      val c = planCase("q40", DeltaRS, "Tempura", Methods.full, ivm = true, k = 4)
+      val (exec, analysed) = SparkSpec.analysedPlansOf(c.executor.run())
+      checkOutputs(c, exec)
+      val kept = Executor.kept(c.plan)
+      val nodes = computes(c.plan)
+      val entries = c.plan.states.map(s => (s.groupId, s.time) -> s.plan).toMap
+      def key(p: PlanNode) = (p.groupId, p.time)
+      def source(p: PlanNode): PlanNode = p match {
+        case LoadState(g, _, from) => entries.get((g, from)).fold(p)(source)
+        case _                     => p
+      }
+      // the kept nodes whose frames a plan over `p` reads
+      def keptInputs(p: PlanNode): Set[(Int, Int)] =
+        if (kept(key(p))) Set(key(p))
+        else p match {
+          case Compute(_, _, _, cs) => cs.map(source).flatMap(keptInputs).toSet
+          case _                    => Set.empty
+        }
+      val sizes = for ((label, p) <- analysed) yield {
+        val Label(t, g, nt, op) = label: @unchecked
+        val expected =
+          if (op == "output") keptInputs(source(c.plan.outputs.find(_.time == t.toInt).get.plan))
+          else nodes((g.toInt, nt.toInt)).children.map(source).flatMap(keptInputs).toSet
+        val leaves = p.collect { case r: InMemoryRelation =>
+          kept.find(n => c.executor.keptPlan(n).exists(_ eq r.cacheBuilder.cachedPlan))
+            .getOrElse(fail(s"$label reads a leaf of no kept node"))
+        }
+        assert(leaves.toSet == expected, s"$label reads ${leaves.toSet}, kept inputs $expected")
+        t.toInt -> p.collect { case n => n }.size
+      }
+      val largest = sizes.groupMapReduce(_._1)(_._2)(_ max _)
+      assert(largest(2) <= largest(1), s"largest analysed plan per step: $largest")
+    }
+  }
+
+  private val Label = """t=(\d+) node \((\d+),(\d+)\) (\w+)""".r
+
+  /** The cache builder of persisted frame `df`, which the failure message
+    * names `what`. */
+  private def cacheBuilder(df: DataFrame, what: String) = spark.asInstanceOf[classic.SparkSession].sharedState
+    .cacheManager.lookupCachedData(df.asInstanceOf[classic.Dataset[_]]).getOrElse(fail(s"$what is not cached"))
+    .cachedRepresentation.cacheBuilder
+
+  /** The cached plans whose buffers `p` scans. */
+  private def scans(p: SparkPlan): Seq[SparkPlan] =
+    p.collect { case s: InMemoryTableScanExec => s.relation.cacheBuilder.cachedPlan }
+
+  /** The operator of every computed node of `plan`, by node. */
+  private def ops(plan: IncrementalPlan): Map[(Int, Int), MOp] = computes(plan).map { case (n, c) => n -> c.op }
+
+  /** Every computed node of `plan`, by node. */
+  private def computes(plan: IncrementalPlan): Map[(Int, Int), Compute] =
+    (plan.states.map(_.plan) ++ plan.outputs.map(_.plan)).flatMap(all).map(c => (c.groupId, c.time) -> c).toMap
+
+  private def all(p: PlanNode): Seq[Compute] = p match {
+    case c: Compute => c +: c.children.flatMap(all)
+    case _          => Nil // a loaded state was counted where it was saved
   }
 }
